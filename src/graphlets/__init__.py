@@ -50,7 +50,6 @@ from .patterns import (
     EDGE_COUNTS,
     NAMES,
     PATTERN_IDS,
-    WEIGHTS,
     resolve_pattern,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "SampleDesign",
     "UnrestrictedAccumulator",
     "VertexMarker",
-    "WEIGHTS",
     "accumulate",
     "adaptive_estimate",
     "brute_force_counts",

@@ -23,6 +23,7 @@ from .estimate import (
     accumulate,
     estimate_counts,
     gfd,
+    ks_statistic,
 )
 from .graph import Graph
 
@@ -92,12 +93,7 @@ def _delta_gfd(prev, cur, kind: str) -> float:
         return 1.0  # a degenerate all-zero side means no basis to stop
     if kind == "l1":
         return sum(abs(x - y) for x, y in zip(da, db))
-    gap, ca, cb = 0.0, 0.0, 0.0
-    for x, y in zip(da, db):
-        ca += x
-        cb += y
-        gap = max(gap, abs(ca - cb))
-    return gap
+    return ks_statistic(da, db)
 
 
 def _loss(prev_X, cur_X, kind: str) -> float:

@@ -21,6 +21,7 @@ import time
 from . import patterns
 from .adaptive import LOSSES, AdaptiveConfig, adaptive_estimate
 from .estimate import (
+    GFD_VARIANTS,
     SampleDesign,
     confidence_bounds,
     exact_counts,
@@ -230,9 +231,7 @@ def _cmd_gfd(args) -> int:
         X = exact_counts(g, workers=args.workers).X
         source = "exact"
     dist = gfd(X, args.variant)
-    ids = {"connected": patterns.CONNECTED_K4,
-           "disconnected": patterns.DISCONNECTED_K4,
-           "combined": patterns.ALL_K4}[args.variant]
+    ids = GFD_VARIANTS[args.variant]
     payload = {
         "n": g.n, "m": g.m,
         "variant": args.variant,

@@ -196,11 +196,33 @@ def _accumulate_serial(g: Graph, edge_ids, with_sq: bool) -> tuple[list, list | 
 _FORK_STATE: dict = {}
 
 
-def _chunk_worker(bounds: tuple[int, int]):
+def _fork_task(bounds: tuple[int, int]):
     lo, hi = bounds
-    return _accumulate_serial(
-        _FORK_STATE["g"], _FORK_STATE["ids"][lo:hi], _FORK_STATE["with_sq"]
-    )
+    return _FORK_STATE["fn"](_FORK_STATE["ids"][lo:hi])
+
+
+def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
+    """``fn`` over dynamic batches of ``ids``, one result per batch.
+
+    Forked workers inherit ``fn`` and ``ids`` copy-on-write, so neither is
+    pickled, and batches come back in completion order.  One worker, fewer
+    than two ids per worker, or a platform without ``fork`` runs ``fn`` on
+    all of ``ids`` in this process.
+    """
+    if workers == 1 or len(ids) < 2 * workers:
+        return [fn(ids)]
+    import multiprocessing as mp  # deferred: serial runs never pay its ~1 MB of RSS
+
+    if "fork" not in mp.get_all_start_methods():
+        return [fn(ids)]
+    batch = max(64, len(ids) // (16 * workers))
+    cuts = list(range(0, len(ids), batch)) + [len(ids)]
+    _FORK_STATE.update(fn=fn, ids=ids)
+    try:
+        with mp.get_context("fork").Pool(workers) as pool:
+            return list(pool.imap_unordered(_fork_task, zip(cuts[:-1], cuts[1:])))
+    finally:
+        _FORK_STATE.clear()
 
 
 def accumulate(
@@ -223,30 +245,9 @@ def accumulate(
     hardness = g.edge_hardness()
     ids = ids[np.argsort(-hardness[ids], kind="stable")] if len(ids) else ids
 
-    if workers == 1 or len(ids) < 2 * workers:
-        counts, sq = _accumulate_serial(g, ids, with_sq)
-    else:
-        import multiprocessing as mp
-
-        batch = max(64, len(ids) // (16 * workers))
-        cuts = list(range(0, len(ids), batch)) + [len(ids)]
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        _FORK_STATE.update(g=g, ids=ids, with_sq=with_sq)
-        try:
-            ctx = mp.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = list(pool.imap_unordered(_chunk_worker, spans))
-        finally:
-            _FORK_STATE.clear()
-        counts = [0] * 17
-        sq = [0] * 17 if with_sq else None
-        for pcounts, psq in parts:
-            for i in range(17):
-                counts[i] += pcounts[i]
-            if with_sq:
-                for i in range(17):
-                    sq[i] += psq[i]
-
+    parts = _parallel_map(lambda part: _accumulate_serial(g, part, with_sq), ids, workers)
+    counts = [sum(col) for col in zip(*(c for c, _ in parts))]
+    sq = [sum(col) for col in zip(*(q for _, q in parts))] if with_sq else None
     return UnrestrictedAccumulator(
         counts=counts, sq=sq, k_used=len(ids), inclusion=inclusion
     )
@@ -296,9 +297,9 @@ def _chain(totals, q: Fraction, n: int, m: int) -> list[Fraction]:
     """The correction chain from unrestricted totals to pattern estimates.
 
     Correction weights are 1/multiplicity of each tally against its primary
-    pattern (see patterns.WEIGHTS and docs/coefficients.md); overcounting
-    patterns are subtracted via the already-computed slots.  Everything is
-    linear in the totals, so the chain commutes with expectation.
+    pattern (see docs/coefficients.md); overcounting patterns are subtracted
+    via the already-computed slots.  Everything is linear in the totals, so
+    the chain commutes with expectation.
     """
     X = [Fraction(0)] * 17
     X[0] = Fraction(m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SampleDesign, _resolve_workers, sample_edges
+from .estimate import SampleDesign, _parallel_map, _resolve_workers, sample_edges
 from .graph import Graph
 from .micro import MicroKernel
 from .patterns import resolve_pattern
@@ -30,25 +30,10 @@ class ExtremalResult:
     exact: bool  # True when every edge was scanned
 
 
-_FORK_STATE: dict = {}
-
-
-def _chunk_best(bounds: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = bounds
-    return _best_over(
-        _FORK_STATE["g"], _FORK_STATE["ids"][lo:hi], _FORK_STATE["pid"]
-    )
-
-
 def _best_over(g: Graph, ids, pid: int) -> tuple[int, int]:
+    """(largest count, -edge id) over ``ids``: ties go to the smaller id."""
     kernel = MicroKernel(g)
-    best_val, best_eid = -1, -1
-    for e in ids:
-        e = int(e)
-        val = kernel.counts(e).x[pid - 1]
-        if val > best_val or (val == best_val and e < best_eid):
-            best_val, best_eid = val, e
-    return best_val, best_eid
+    return max((kernel.counts(int(e)).x[pid - 1], -int(e)) for e in ids)
 
 
 def max_per_edge(
@@ -67,25 +52,9 @@ def max_per_edge(
     if len(ids) == 0:
         raise ValueError("edge sample is empty; nothing to scan")
 
-    if workers == 1 or len(ids) < 2 * workers:
-        best_val, best_eid = _best_over(g, ids, pid)
-    else:
-        import multiprocessing as mp
-
-        batch = max(64, len(ids) // (16 * workers))
-        cuts = list(range(0, len(ids), batch)) + [len(ids)]
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        _FORK_STATE.update(g=g, ids=ids, pid=pid)
-        try:
-            ctx = mp.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = list(pool.imap_unordered(_chunk_best, spans))
-        finally:
-            _FORK_STATE.clear()
-        best_val, best_eid = -1, -1
-        for val, eid in parts:
-            if val > best_val or (val == best_val and eid < best_eid):
-                best_val, best_eid = val, eid
+    parts = _parallel_map(lambda part: _best_over(g, part, pid), ids, workers)
+    best_val, neg_eid = max(parts)
+    best_eid = -neg_eid
 
     u, v = g.edges[best_eid]
     return ExtremalResult(

@@ -6,25 +6,34 @@ endpoint-missing patterns (ids 2, 6, 17) are always zero and id 1 is always
 one.  Summed over all edges, each count equals the global count times the
 pattern's edge multiplicity (patterns.EDGE_COUNTS).
 
-The kernel classifies the two neighborhoods into zones (common, exclusive to
-either endpoint, far) and tallies adjacent zone pairs in one pass over zone
-members' neighbor lists.  Each adjacent pair is credited from exactly one
-side, fixed by scan order, which is what makes the neighbor-sampled variant
-(p_e < 1, each scanned vertex reads ceil(d * p_e) random neighbors and
-credits d/s per hit) unbiased.
+The kernel takes the zones from ``local.classify_edge`` (common T, exclusive
+S_u and S_v, far), stamps u and v with one more endpoint code, gathers the
+neighbor lists of T, S_u and S_v into one flat array, and tallies each
+(source zone, target code) pair with one ``np.bincount``.  The adjacent
+zone-pair tallies a_tt, a_ts, a_tf, a_uu, a_vv, a_uv and a_sf are read off
+that 4 x 5 matrix: a pair inside one zone is seen from both sides and
+halved, a pair across zones is read from one fixed side.  At p_e = 1 every
+step is integer arithmetic, so the counts are exact at any n.
+
+Neighbor-sampled counts (p_e < 1) keep ceil(d * p_e) random entries of each
+gathered vertex's d neighbors and weight each kept entry by d / s, so every
+tally, and every slot (linear in the tallies), is unbiased before the final
+zero clamp.  The clamp max(x, 0) biases slots with low true counts upward.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, resolve_edge
+from .local import _SU, _SV, _T, VertexMarker, _flat_neighbors, classify_edge
 
-# live mark codes, offsets from the per-call generation (stride 8 in marks)
-_SV, _SU, _T_NEW, _T_DONE, _SU_DONE, _END, _SV_DONE = 1, 2, 3, 4, 5, 6, 7
+# code stamped on u and v after classify_edge, so that they do not read as
+# far; it must stay below VertexMarker.STRIDE
+_END = 4
+_CODES = _END + 1  # far (0), the three zone codes, _END
 
 
 @dataclass
@@ -51,56 +60,46 @@ class MicroKernel:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._marks = np.zeros(g.n, dtype=np.int64)
-        self._gen = 0
+        self._marker = VertexMarker(g.n)
 
     def counts(self, edge, p_e: float = 1.0, rng=None) -> MicroEstimate:
         if not (0 < p_e <= 1):
             raise ValueError(f"p_e must be in (0, 1], got {p_e}")
         g = self.g
         u, v = resolve_edge(g, edge)
-        marks = self._marks
-        self._gen += 8
-        gen = self._gen
+        marker = self._marker
+        local = classify_edge(g, u, v, marker)
+        marker.marks[[u, v]] = marker.gen + _END
+        t, su, sv, r = len(local.T), len(local.S_u), len(local.S_v), local.far
+        exact = p_e >= 1.0
 
-        nu, nv = g.neighbors(u), g.neighbors(v)
-        marks[nv] = gen + _SV
-        marks[u] = gen + _END
-        mu = marks[nu]
-        T = nu[mu == gen + _SV]
-        S_u = nu[(mu != gen + _SV) & (nu != v)]
-        marks[T] = gen + _T_NEW
-        marks[S_u] = gen + _SU
-        S_v = nv[(marks[nv] == gen + _SV) & (nv != u)]
-        marks[v] = gen + _END
+        src = np.concatenate([local.T, local.S_u, local.S_v])
+        deg = g.indptr[src + 1] - g.indptr[src]
+        zone = np.repeat(np.repeat([_T, _SU, _SV], [t, su, sv]), deg)
+        nbrs = _flat_neighbors(g, src)
+        weights = None
+        if not exact:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            keep = np.ceil(deg * p_e).astype(np.int64)
+            owner = np.repeat(np.arange(len(src)), deg)
+            # a random order within each source's run; keep its first s entries
+            order = np.lexsort((rng.random(len(nbrs)), owner))
+            rank = np.arange(len(nbrs)) - np.repeat(np.cumsum(deg) - deg, deg)
+            picked = order[rank < keep[owner]]
+            nbrs, zone = nbrs[picked], zone[picked]
+            weights = (deg / keep)[owner[picked]]
+        keys = zone * _CODES + marker.code(nbrs)
+        M = np.bincount(keys, weights=weights, minlength=4 * _CODES)
+        M = M.reshape(4, _CODES).tolist()
 
-        t, su, sv = len(T), len(S_u), len(S_v)
-        r = g.n - t - su - sv - 2
-        sample = p_e < 1.0
-        if sample and rng is None:
-            rng = np.random.default_rng(0)
-
-        # adjacent zone-pair tallies; each pair credited from exactly one side
-        a_tt = a_ts = a_tf = a_uu = a_vv = a_uv = a_sf = 0.0
-
-        for w in T:
-            mk, credit = self._scan(w, p_e, rng, sample)
-            a_tt += credit * np.count_nonzero(mk == gen + _T_DONE)
-            a_tf += credit * np.count_nonzero(mk <= gen)
-            marks[w] = gen + _T_DONE
-        for w in S_u:
-            mk, credit = self._scan(w, p_e, rng, sample)
-            a_ts += credit * np.count_nonzero(mk == gen + _T_DONE)
-            a_uu += credit * np.count_nonzero(mk == gen + _SU_DONE)
-            a_uv += credit * np.count_nonzero(mk == gen + _SV)
-            a_sf += credit * np.count_nonzero(mk <= gen)
-            marks[w] = gen + _SU_DONE
-        for w in S_v:
-            mk, credit = self._scan(w, p_e, rng, sample)
-            a_ts += credit * np.count_nonzero(mk == gen + _T_DONE)
-            a_vv += credit * np.count_nonzero(mk == gen + _SV_DONE)
-            a_sf += credit * np.count_nonzero(mk <= gen)
-            marks[w] = gen + _SV_DONE
+        a_tt, a_uu, a_vv = (
+            M[z][z] // 2 if exact else M[z][z] / 2 for z in (_T, _SU, _SV)
+        )
+        a_ts = M[_T][_SU] + M[_T][_SV]
+        a_tf = M[_T][0]
+        a_uv = M[_SU][_SV]
+        a_sf = M[_SU][0] + M[_SV][0]
 
         a_ss = a_uu + a_vv
         e_in = a_tt + a_ts + a_ss + a_uv
@@ -108,34 +107,23 @@ class MicroKernel:
         a_ff = g.m - (g.degree(u) + g.degree(v) - 1) - e_in - e_cross
 
         s = su + sv
-        x = [0.0] * 17
+        x = [0 if exact else 0.0] * 17
         x[0] = 1
         x[2] = t
         x[3] = s
         x[4] = r
         x[6] = a_tt
-        x[7] = t * (t - 1) / 2 - a_tt + a_ts
+        x[7] = t * (t - 1) // 2 - a_tt + a_ts
         x[8] = (t * s - a_ts) + a_tf + a_ss
         x[9] = a_uv
-        x[10] = su * (su - 1) / 2 + sv * (sv - 1) / 2 - a_ss
+        x[10] = su * (su - 1) // 2 + sv * (sv - 1) // 2 - a_ss
         x[11] = (su * sv - a_uv) + a_sf
         x[12] = t * r - a_tf
         x[13] = s * r - a_sf
         x[14] = a_ff
-        x[15] = r * (r - 1) / 2 - a_ff
+        x[15] = r * (r - 1) // 2 - a_ff
         x = [max(val, 0) for val in x]
-        if not sample:
-            x = [int(round(val)) for val in x]
         return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(t, su, sv, r))
-
-    def _scan(self, w: int, p_e: float, rng, sample: bool):
-        nbrs = self.g.neighbors(int(w))
-        d = len(nbrs)
-        if not sample:
-            return self._marks[nbrs], 1.0
-        s = math.ceil(d * p_e)
-        picked = nbrs[rng.choice(d, size=s, replace=False)]
-        return self._marks[picked], d / s
 
 
 def micro_counts(g: Graph, edge, p_e: float = 1.0, seed: int = 0) -> MicroEstimate:

@@ -45,18 +45,6 @@ ALL_K3 = (3, 4, 5, 6)
 # sum_e y_i(e) = EDGE_COUNTS[i] * Y_i.
 EDGE_INCIDENT = tuple(pid for pid in PATTERN_IDS if EDGE_COUNTS[pid] > 0)
 
-# Correction weight applied to each pattern's unrestricted edge-local tally.
-# The weight is the reciprocal of the number of times one pattern instance is
-# hit by the tally when summed over all edges (see docs/coefficients.md for
-# the incidence derivation; the set is pinned by the brute-force oracle in
-# the test suite).  Patterns 1, 2, 6, 17 are closed-form complements.
-WEIGHTS = {
-    1: 1.0, 2: 1.0,
-    3: 1 / 3, 4: 1 / 2, 5: 1.0, 6: 1.0,
-    7: 1 / 6, 8: 1.0, 9: 1 / 2, 10: 1 / 4, 11: 1 / 3, 12: 1.0,
-    13: 1 / 3, 14: 1 / 2, 15: 1 / 2, 16: 1.0, 17: 1.0,
-}
-
 
 def classify_small(k: int, edges: int, degree_multiset: tuple[int, ...]) -> int:
     """Map an induced subgraph on k in {2,3,4} vertices to its pattern id.

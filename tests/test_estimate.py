@@ -15,6 +15,7 @@ from graphlets import (
     from_edges,
     gfd,
     ks_statistic,
+    max_per_edge,
     relative_error,
     sample_and_estimate,
     sample_edges,
@@ -128,6 +129,22 @@ def test_parallel_bitwise_identity():
         alt = accumulate(g, ids, workers=w, with_sq=True, inclusion=Fraction(4, 5))
         assert alt.counts == ref.counts
         assert alt.sq == ref.sq
+
+
+def test_serial_fallback_without_fork(monkeypatch):
+    import multiprocessing
+
+    def no_context(*args, **kwargs):
+        raise ValueError("no start method here")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    g = gen_er(35, 0.25, 4)
+    ids = np.arange(g.m)
+    ref = accumulate(g, ids, workers=1, with_sq=True, inclusion=Fraction(1))
+    alt = accumulate(g, ids, workers=2, with_sq=True, inclusion=Fraction(1))
+    assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
+    assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from gen import gen_er
+from gen import gen_er, gen_power_law
 from graphlets import (
     EDGE_COUNTS,
+    Graph,
     MicroKernel,
     brute_force_counts,
     brute_force_edge_counts,
+    exact_counts,
     from_edges,
+    max_per_edge,
     micro_counts,
     univariate_stats,
 )
+from graphlets.patterns import EDGE_INCIDENT
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -57,6 +61,31 @@ def test_micro_multiplicity_identity():
             sums += np.array(kernel.counts(e).x)
         for pid in range(1, 18):
             assert sums[pid - 1] == EDGE_COUNTS[pid] * total[pid - 1], pid
+
+
+def test_integer_exact_at_huge_n():
+    # a single edge among 2e8 vertices: C(r, 2) far pairs is past 2**53, where
+    # a float round trip is off by one; the marks' untouched pages cost no RSS
+    n = 2 * 10**8
+    g = Graph(n=n, indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32),
+              edges=np.array([[0, 1]]))
+    res = micro_counts(g, 0)
+    r = n - 2
+    assert res.x[15] == r * (r - 1) // 2
+    assert all(type(val) is int for val in res.x)
+
+
+def test_hub_scale_multiplicity_and_max():
+    # beyond the oracle's reach: fold-back against the exact global counts on
+    # a power-law graph whose hubs hold ~200 neighbors
+    g = gen_power_law(3000, 5.0, 1)
+    kernel = MicroKernel(g)
+    per_edge = np.array([kernel.counts(e).x for e in range(g.m)], dtype=object)
+    sums = per_edge.sum(axis=0)
+    total = exact_counts(g).X
+    for pid in EDGE_INCIDENT:
+        assert sums[pid - 1] == EDGE_COUNTS[pid] * total[pid - 1], pid
+    assert max_per_edge(g, "4-cycle", workers=2).value == max(per_edge[:, 9])
 
 
 def test_p4_univariate_example(named):

@@ -32,14 +32,6 @@ def test_edge_counts_match_structure():
     }
 
 
-def test_weights_values():
-    w = patterns.WEIGHTS
-    assert w[3] == pytest.approx(1 / 3)
-    assert w[7] == pytest.approx(1 / 6)
-    assert w[10] == pytest.approx(1 / 4)
-    assert all(0 < w[i] <= 1 for i in patterns.PATTERN_IDS)
-
-
 @pytest.mark.parametrize(
     "degrees,edges,expect",
     [
