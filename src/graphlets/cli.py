@@ -72,16 +72,15 @@ def _add_design(sub, required=False):
     grp.add_argument("--p", type=float, default=None,
                      help="edge inclusion probability")
     grp.add_argument("--size", type=int, default=None,
-                     help="fixed sample size in edges")
-    sub.add_argument("--replacement", action="store_true")
+                     help="expected sample size in edges")
     sub.add_argument("--weighting", default="uniform",
                      choices=["uniform", "kcore"])
     sub.add_argument("--seed", type=int, default=0)
 
 
 def _design_from(args) -> SampleDesign:
-    return SampleDesign(p=args.p, size=args.size, replacement=args.replacement,
-                        weighting=args.weighting, seed=args.seed)
+    return SampleDesign(p=args.p, size=args.size, weighting=args.weighting,
+                        seed=args.seed)
 
 
 def _load(args) -> Graph:

@@ -1,11 +1,16 @@
 """Sampled and exact pattern-count estimation from edge-local tallies.
 
-The estimator is Horvitz-Thompson over edges: sample a set of edges, sum the
-unrestricted per-edge tallies, divide by the inclusion probability, and fold
-the overcounts out with the fixed correction weights.  All accumulation is
-exact integer arithmetic (128-bit is a floor, Python ints do not overflow),
-so results are bitwise identical for any worker count or batch split; floats
-appear only in the final reported numbers.
+The estimator is Horvitz-Thompson over edges.  Every design is Poisson
+sampling: edge e is drawn independently with inclusion probability
+pi_e = min(1, c w_e), where w_e is 1, the edge core number, or a custom
+weight, and c sets the mean of pi to ``p`` or its sum to ``size``.  The
+drawn edges are grouped by pi; each group's unrestricted per-edge tallies
+are summed and divided by its pi, and the overcounts are folded out of the
+totals with the fixed correction weights.  The variance estimate is
+sum over drawn edges of (1 - pi) / pi^2 times the squared contribution.
+All accumulation is exact integer arithmetic (128-bit is a floor, Python
+ints do not overflow), so results are bitwise identical for any worker
+count or batch split; floats appear only in the final reported numbers.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -35,20 +40,19 @@ SCALE = 12  # all per-edge weighted contributions are integral at this scale
 
 @dataclass(frozen=True)
 class SampleDesign:
-    """How to draw edges: Bernoulli by probability or a fixed-size draw.
+    """How to draw edges: Poisson sampling with inclusion pi_e = min(1, c w_e).
 
-    Exactly one of ``p`` and ``size`` must be set.  ``weighting`` is
-    ``uniform``, ``kcore`` (per-edge weight min of endpoint core numbers), or
-    ``custom`` with explicit nonnegative ``weights``.  ``replacement`` only
-    applies to fixed-size draws; probability mode is independent per-edge
-    inclusion.  The same seed always reproduces the same sample, and for
-    fixed-size draws without replacement a larger ``size`` with the same seed
-    extends the smaller sample (prefix nesting).
+    Exactly one of ``p`` and ``size`` must be set: the scale c makes the mean
+    of pi equal ``p``, or the sum of pi (the expected sample size) equal
+    ``size``.  ``weighting`` is ``uniform`` (w_e = 1), ``kcore`` (w_e = min
+    of the endpoint core numbers), or ``custom`` with explicit nonnegative
+    ``weights``; zero-weight edges are never drawn.  The same seed always
+    reproduces the same sample, and a larger ``p`` or ``size`` with the same
+    seed draws a superset of the smaller sample (set nesting).
     """
 
     p: float | None = None
     size: int | None = None
-    replacement: bool = False
     weighting: str = "uniform"
     weights: tuple | None = None
     seed: int = 0
@@ -65,13 +69,10 @@ class SampleDesign:
         if (self.weighting == "custom") != (self.weights is not None):
             raise ValueError("custom weighting requires weights=, others forbid it")
 
-    def is_uniform(self) -> bool:
-        return self.weighting == "uniform"
 
-
-def _design_weights(g: Graph, design: SampleDesign) -> np.ndarray | None:
+def _design_weights(g: Graph, design: SampleDesign) -> np.ndarray:
     if design.weighting == "uniform":
-        return None
+        return np.ones(g.m)
     if design.weighting == "kcore":
         return g.edge_core().astype(np.float64)
     w = np.asarray(design.weights, dtype=np.float64)
@@ -84,30 +85,33 @@ def _design_weights(g: Graph, design: SampleDesign) -> np.ndarray | None:
     return w
 
 
+def _draw(g: Graph, design: SampleDesign) -> tuple[np.ndarray, np.ndarray]:
+    """One Poisson draw: the drawn edge ids and every edge's inclusion pi.
+
+    Edge e is drawn when its uniform key falls below pi_e.  The heaviest
+    edges are capped at pi = 1 and c scales the rest to the remaining
+    target; a uniform ``p`` design has pi_e = p exactly.
+    """
+    if design.weighting == "uniform" and design.p is not None:
+        pi = np.full(g.m, design.p)
+    else:
+        w = _design_weights(g, design)
+        target = design.size if design.size is not None else design.p * g.m
+        avail = int(np.count_nonzero(w))
+        if target > avail:
+            raise ValueError(f"cannot draw {target:g} edges from {avail} available")
+        desc = np.sort(w)[::-1]
+        tail = np.cumsum(desc[::-1])[::-1]  # tail[j]: weight left after j caps
+        # the fewest caps j that leave the next-heaviest edge at pi <= 1
+        j = int(np.argmax((target - np.arange(g.m)) * desc <= tail))
+        pi = np.minimum(1.0, w * ((target - j) / tail[j]))
+    keys = np.random.default_rng(design.seed).random(g.m)
+    return np.flatnonzero(keys < pi).astype(np.int64), pi
+
+
 def sample_edges(g: Graph, design: SampleDesign) -> np.ndarray:
     """Draw edge ids per the design.  Deterministic in the design seed."""
-    rng = np.random.default_rng(design.seed)
-    w = _design_weights(g, design)
-
-    if design.p is not None and w is None and not design.replacement:
-        # Bernoulli: independent per-edge coin flips
-        return np.flatnonzero(rng.random(g.m) < design.p).astype(np.int64)
-
-    k = design.size if design.size is not None else max(1, round(design.p * g.m))
-    if design.replacement:
-        probs = None if w is None else w / w.sum()
-        return rng.choice(g.m, size=k, replace=True, p=probs).astype(np.int64)
-
-    avail = g.m if w is None else int(np.count_nonzero(w))
-    if k > avail:
-        raise ValueError(f"cannot draw {k} distinct edges from {avail} available")
-    if w is None:
-        return rng.permutation(g.m)[:k].astype(np.int64)
-    # weighted sequential order via exponential keys; zero weights never drawn
-    keys = np.full(g.m, np.inf)
-    nz = w > 0
-    keys[nz] = rng.exponential(size=int(nz.sum())) / w[nz]
-    return np.argsort(keys, kind="stable")[:k].astype(np.int64)
+    return _draw(g, design)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +120,26 @@ def sample_edges(g: Graph, design: SampleDesign) -> np.ndarray:
 
 @dataclass
 class UnrestrictedAccumulator:
-    """Exact sums of per-edge tallies over the processed draws.
+    """Exact sums of per-edge tallies over edges drawn with one inclusion.
 
-    ``counts`` are the raw c(e) sums (ints; exact Fractions for weighted
-    designs).  ``sq`` are sums of squared 12-scaled contributions, feeding
-    the variance estimator.  ``inclusion`` is the scalar effective inclusion
-    probability for uniform designs, None for weighted ones.
+    ``counts`` are the raw integer c(e) sums.  ``sq`` are sums of squared
+    12-scaled contributions, feeding the variance estimator.  ``inclusion``
+    is the probability pi shared by every edge summed here.
     """
 
     counts: list
     sq: list | None
     k_used: int
     inclusion: Fraction | None
-    weighted: bool = False
 
     def merge(self, other: "UnrestrictedAccumulator") -> "UnrestrictedAccumulator":
-        if self.weighted != other.weighted or (self.sq is None) != (other.sq is None):
+        if (self.sq is None) != (other.sq is None):
             raise ValueError("cannot merge accumulators of different shapes")
         return UnrestrictedAccumulator(
             counts=[a + b for a, b in zip(self.counts, other.counts)],
             sq=None if self.sq is None else [a + b for a, b in zip(self.sq, other.sq)],
             k_used=self.k_used + other.k_used,
             inclusion=self.inclusion,
-            weighted=self.weighted,
         )
 
 
@@ -242,27 +243,15 @@ def accumulate(
     ids = np.asarray(edge_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
         raise ValueError("edge id out of range")
-    hardness = g.edge_hardness()
-    ids = ids[np.argsort(-hardness[ids], kind="stable")] if len(ids) else ids
+    ends = g.edges[ids]
+    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)  # d(u) + d(v)
+    ids = ids[np.argsort(-hardness, kind="stable")]
 
     parts = _parallel_map(lambda part: _accumulate_serial(g, part, with_sq), ids, workers)
     counts = [sum(col) for col in zip(*(c for c, _ in parts))]
     sq = [sum(col) for col in zip(*(q for _, q in parts))] if with_sq else None
     return UnrestrictedAccumulator(
         counts=counts, sq=sq, k_used=len(ids), inclusion=inclusion
-    )
-
-
-def accumulate_weighted(g: Graph, edge_ids, factors) -> UnrestrictedAccumulator:
-    """Weighted-design accumulation: each draw scaled by its exact factor."""
-    marker = VertexMarker(g.n)
-    counts = [Fraction(0)] * 17
-    for e, f in zip(edge_ids, factors):
-        c = unrestricted_counts(g, int(e), marker)
-        for i in range(17):
-            counts[i] += f * c[i]
-    return UnrestrictedAccumulator(
-        counts=counts, sq=None, k_used=len(edge_ids), inclusion=None, weighted=True
     )
 
 
@@ -276,9 +265,11 @@ class GraphletEstimate:
 
     ``X`` holds ints when the estimate is exact (full sample) and floats
     otherwise, indexed by pattern id - 1.  ``variance`` entries are the
-    plug-in sampling variances (zero at full sampling, None for weighted
-    designs).  ``clamped`` flags slots whose raw estimate was negative and
-    got clamped to zero.
+    plug-in sampling variances (zero at full sampling, None when the tallies
+    were accumulated without squares).  ``p`` is the inclusion probability
+    shared by every sampled edge, None when the sample mixes several.
+    ``clamped`` flags slots whose raw estimate was negative and got clamped
+    to zero.
     """
 
     X: list
@@ -293,8 +284,8 @@ class GraphletEstimate:
         return {patterns.NAMES[i + 1]: self.X[i] for i in range(17)}
 
 
-def _chain(totals, q: Fraction, n: int, m: int) -> list[Fraction]:
-    """The correction chain from unrestricted totals to pattern estimates.
+def _chain(totals, n: int, m: int) -> list[Fraction]:
+    """The correction chain from weighted unrestricted totals to estimates.
 
     Correction weights are 1/multiplicity of each tally against its primary
     pattern (see docs/coefficients.md); overcounting patterns are subtracted
@@ -304,46 +295,46 @@ def _chain(totals, q: Fraction, n: int, m: int) -> list[Fraction]:
     X = [Fraction(0)] * 17
     X[0] = Fraction(m)
     X[1] = Fraction(math.comb(n, 2) - m)
-    X[2] = q * totals[2] / 3
-    X[3] = q * totals[3] / 2
-    X[4] = q * totals[4]
+    X[2] = totals[2] / 3
+    X[3] = totals[3] / 2
+    X[4] = totals[4]
     X[5] = math.comb(n, 3) - X[2] - X[3] - X[4]
-    X[6] = q * totals[6] / 6
-    X[7] = q * (totals[7] - totals[6])
-    X[8] = (q * totals[8] - 4 * X[7]) / 2
-    X[9] = q * totals[9] / 4
-    X[10] = (q * totals[10] - X[8]) / 3
-    X[11] = q * (totals[11] - totals[9])
-    X[12] = (q * totals[13] - X[8]) / 3
-    X[13] = (q * totals[12] - 2 * X[11]) / 2
-    X[14] = (q * totals[15] - 6 * X[6] - 4 * X[7] - 2 * X[8] - 4 * X[9] - 2 * X[11]) / 2
-    X[15] = q * totals[14] - 2 * X[14]
+    X[6] = totals[6] / 6
+    X[7] = totals[7] - totals[6]
+    X[8] = (totals[8] - 4 * X[7]) / 2
+    X[9] = totals[9] / 4
+    X[10] = (totals[10] - X[8]) / 3
+    X[11] = totals[11] - totals[9]
+    X[12] = (totals[13] - X[8]) / 3
+    X[13] = (totals[12] - 2 * X[11]) / 2
+    X[14] = (totals[15] - 6 * X[6] - 4 * X[7] - 2 * X[8] - 4 * X[9] - 2 * X[11]) / 2
+    X[15] = totals[14] - 2 * X[14]
     X[16] = math.comb(n, 4) - sum(X[6:16])
     return X
 
 
-def estimate_counts(g: Graph, acc: UnrestrictedAccumulator) -> GraphletEstimate:
+def estimate_counts(g: Graph, acc) -> GraphletEstimate:
     """Turn accumulated tallies into the 17 pattern estimates.
 
-    The chain runs in exact rational arithmetic; negative slots are clamped
-    to zero in the report (flagged) but the complement slots are computed
-    from the raw linear values so the level sums stay exact whenever no
-    clamp fires.
+    ``acc`` is one accumulator or a list of them, one per inclusion level.
+    Each total is the Horvitz-Thompson sum over levels of counts / pi, and
+    each variance the sum of (1 - pi) / pi^2 * sq / 144.  The chain runs in
+    exact rational arithmetic; negative slots are clamped to zero in the
+    report (flagged) but the complement slots are computed from the raw
+    linear values so the level sums stay exact whenever no clamp fires.
     """
-    if acc.weighted:
-        q = Fraction(1)  # inclusion already folded into the weighted counts
-        p_out = None
-    else:
-        if acc.inclusion is None or not (0 < acc.inclusion <= 1):
-            raise ValueError("accumulator lacks a valid inclusion probability")
-        q = 1 / acc.inclusion
-        p_out = float(acc.inclusion)
+    levels = [acc] if isinstance(acc, UnrestrictedAccumulator) else list(acc)
+    if any(a.inclusion is None or not (0 < a.inclusion <= 1) for a in levels):
+        raise ValueError("accumulator lacks a valid inclusion probability")
 
-    raw = _chain(acc.counts, q, g.n, g.m)
-    exact = not acc.weighted and acc.inclusion == 1
+    totals = [sum((Fraction(a.counts[i]) / a.inclusion for a in levels), Fraction(0))
+              for i in range(17)]
+    raw = _chain(totals, g.n, g.m)
+    k_used = sum(a.k_used for a in levels)
+    exact = k_used == g.m and all(a.inclusion == 1 for a in levels)
     clamped = [x < 0 for x in raw]
     out = []
-    for x, hit in zip(raw, clamped):
+    for x in raw:
         x = max(x, Fraction(0))
         if exact:
             if x.denominator != 1:
@@ -352,16 +343,21 @@ def estimate_counts(g: Graph, acc: UnrestrictedAccumulator) -> GraphletEstimate:
         else:
             out.append(float(x))
 
+    sampled = [a for a in levels if a.inclusion < 1]  # pi = 1 adds no variance
     variance = None
-    if exact:
-        variance = [0.0] * 17  # no sampling, no sampling variance
-    elif acc.sq is not None and acc.inclusion is not None:
-        factor = (1 - acc.inclusion) / acc.inclusion ** 2
-        variance = [float(factor * s / (SCALE * SCALE)) for s in acc.sq]
+    if all(a.sq is not None for a in sampled):
+        # rounded once per level: an exact sum over many distinct pi would
+        # grow its denominators with every level
+        variance = [
+            sum((float((1 - a.inclusion) / a.inclusion ** 2 * a.sq[i] / (SCALE * SCALE))
+                 for a in sampled), 0.0)
+            for i in range(17)
+        ]
 
     return GraphletEstimate(
-        X=out, variance=variance, p=p_out, k_used=acc.k_used,
-        n=g.n, m=g.m, clamped=clamped,
+        X=out, variance=variance,
+        p=float(levels[0].inclusion) if len(levels) == 1 else None,
+        k_used=k_used, n=g.n, m=g.m, clamped=clamped,
     )
 
 
@@ -374,32 +370,18 @@ def exact_counts(g: Graph, workers: int | None = 1) -> GraphletEstimate:
 def sample_and_estimate(
     g: Graph, design: SampleDesign, workers: int | None = 1, with_variance: bool = True
 ) -> GraphletEstimate:
-    """Sample, accumulate, estimate: the one-call path used by the CLI."""
-    ids = sample_edges(g, design)
-    if design.is_uniform():
-        if design.p is not None and not design.replacement:
-            inclusion = Fraction(design.p)
-        else:
-            inclusion = Fraction(len(ids), g.m)
-        acc = accumulate(g, ids, workers=workers, with_sq=with_variance,
-                         inclusion=inclusion)
-        return estimate_counts(g, acc)
+    """Sample, accumulate, estimate: the one-call path used by the CLI.
 
-    w = _design_weights(g, design)
-    total = sum(Fraction(x) for x in w)
-    k = len(ids)
-    if design.replacement:
-        factors = [total / (k * Fraction(w[int(e)])) for e in ids]
-    else:
-        # without-replacement weighted inclusion has no closed form; use the
-        # Poisson-approximate per-edge inclusion probability (documented)
-        factors = []
-        for e in ids:
-            qe = float(Fraction(w[int(e)]) / total)
-            pi = 1.0 - (1.0 - qe) ** k
-            factors.append(1 / Fraction(pi))
-    acc = accumulate_weighted(g, ids, factors)
-    return estimate_counts(g, acc)
+    The drawn edges are grouped by inclusion probability and accumulated
+    once per level.
+    """
+    ids, pi = _draw(g, design)
+    pi = pi[ids]
+    return estimate_counts(g, [
+        accumulate(g, ids[pi == q], workers=workers, with_sq=with_variance,
+                   inclusion=Fraction(q))
+        for q in np.unique(pi)
+    ])
 
 
 def confidence_bounds(
@@ -408,12 +390,12 @@ def confidence_bounds(
     """Normal-approximation bounds X -+ z * sqrt(var), lower clamped at 0.
 
     At full sampling the variances are zero and both bounds collapse onto
-    the point estimate.  Weighted designs carry no variance estimate.
+    the point estimate.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if est.variance is None:
-        raise ValueError("estimate has no variance (weighted design?)")
+        raise ValueError("estimate has no variance (accumulated without squares)")
     z = 1.96 if abs(alpha - 0.05) < 1e-12 else NormalDist().inv_cdf(1 - alpha / 2)
     lb, ub = [], []
     for x, v in zip(est.X, est.variance):

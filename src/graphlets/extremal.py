@@ -45,10 +45,7 @@ def max_per_edge(
     """Maximum per-edge count of ``pattern`` over scanned (or all) edges."""
     pid = resolve_pattern(pattern)
     workers = _resolve_workers(workers)
-    if design is None:
-        ids = np.arange(g.m, dtype=np.int64)
-    else:
-        ids = np.unique(sample_edges(g, design))  # repeats add nothing to a max
+    ids = np.arange(g.m, dtype=np.int64) if design is None else sample_edges(g, design)
     if len(ids) == 0:
         raise ValueError("edge sample is empty; nothing to scan")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, resolve_edge
 
 _EMPTY = np.empty(0, dtype=np.int32)
 
@@ -150,10 +150,7 @@ def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tupl
     """
     if marker is None:
         marker = VertexMarker(g.n)
-    if isinstance(e, (tuple, list)):
-        u, v = int(e[0]), int(e[1])
-    else:
-        u, v = (int(x) for x in g.edges[int(e)])
+    u, v = resolve_edge(g, e)
     local = classify_edge(g, u, v, marker)
     t, su, sv, r = len(local.T), len(local.S_u), len(local.S_v), local.far
     k4 = clique_count(g, local, marker)

@@ -17,8 +17,9 @@ step is integer arithmetic, so the counts are exact at any n.
 
 Neighbor-sampled counts (p_e < 1) keep ceil(d * p_e) random entries of each
 gathered vertex's d neighbors and weight each kept entry by d / s, so every
-tally, and every slot (linear in the tallies), is unbiased before the final
-zero clamp.  The clamp max(x, 0) biases slots with low true counts upward.
+tally, and every slot (linear in the tallies), is unbiased.  No clamp is
+applied, so a sampled count can come out negative when its true value is
+small.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class MicroKernel:
         x[13] = s * r - a_sf
         x[14] = a_ff
         x[15] = r * (r - 1) // 2 - a_ff
-        x = [max(val, 0) for val in x]
         return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(t, su, sv, r))
 
 

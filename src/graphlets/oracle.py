@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from . import patterns
-from .graph import Graph
+from .graph import Graph, resolve_edge
 
 
 class OracleSizeError(RuntimeError):
@@ -75,7 +75,7 @@ def brute_force_edge_counts(g: Graph, e) -> list[int]:
     pattern i; patterns that cannot hold an adjacent vertex pair (2, 6, 17)
     are therefore always zero.
     """
-    u, v = _edge_endpoints(g, e)
+    u, v = resolve_edge(g, e)
     bits = g.adjacency_bits()
     y = [0] * 17
     y[0] = 1
@@ -90,12 +90,3 @@ def brute_force_edge_counts(g: Graph, e) -> list[int]:
         degs = tuple(sorted((bits[t] & mask).bit_count() for t in (u, v, w, x)))
         y[patterns.classify_small(4, sum(degs) // 2, degs) - 1] += 1
     return y
-
-
-def _edge_endpoints(g: Graph, e) -> tuple[int, int]:
-    if isinstance(e, (tuple, list)):
-        u, v = int(e[0]), int(e[1])
-        g.edge_id(u, v)  # raises KeyError when not an edge
-    else:
-        u, v = (int(x) for x in g.edges[int(e)])
-    return u, v

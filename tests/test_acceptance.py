@@ -292,3 +292,42 @@ def test_criterion_09_complement_identities(cal_graph):
     assert dt < 120
     report(f"criterion 9: level-sum identities held on {checked} estimates "
            f"and {len(res.trace)} adaptive rounds ({dt:.1f}s)")
+
+
+def test_criterion_10_every_design_calibrated(cal_graph):
+    # every design the CLI offers (p or expected size, uniform or core
+    # weighted), 400 runs each: per-slot |mean - truth| <= 4 SE (68 checks),
+    # and the 95% bounds cover the truth >= 90% of the time for the
+    # tailed-triangle and 4-path slots; budget 60s
+    t0 = time.perf_counter()
+    g = cal_graph
+    truth = exact_counts(g).X
+    n_runs = 400
+    worst, lowest = 0.0, 1.0
+    for kw in (dict(p=0.3), dict(size=126),
+               dict(p=0.3, weighting="kcore"), dict(size=126, weighting="kcore")):
+        runs, hits = [], {9: 0, 12: 0}
+        for s in range(n_runs):
+            est = sample_and_estimate(g, SampleDesign(seed=s, **kw))
+            runs.append(est.X)
+            lb, ub = confidence_bounds(est, alpha=0.05)
+            for pid in hits:
+                hits[pid] += lb[pid - 1] <= truth[pid - 1] <= ub[pid - 1]
+        runs = np.array(runs, dtype=float)
+        mean = runs.mean(axis=0)
+        se = runs.std(axis=0, ddof=1) / math.sqrt(n_runs)
+        for i in range(17):
+            if se[i] == 0:
+                assert mean[i] == truth[i], (kw, i)
+            else:
+                zdev = abs(mean[i] - truth[i]) / se[i]
+                worst = max(worst, zdev)
+                assert zdev <= 4, (kw, i, mean[i], truth[i], zdev)
+        for pid, h in hits.items():
+            lowest = min(lowest, h / n_runs)
+            assert h / n_runs >= 0.90, (kw, pid, h / n_runs)
+    dt = time.perf_counter() - t0
+    assert dt < 60
+    report(f"criterion 10: worst |mean-truth|/SE = {worst:.2f} <= 4 and lowest "
+           f"coverage {lowest:.1%} >= 90% over 4 designs x {n_runs} runs "
+           f"({dt:.1f}s)")

@@ -22,7 +22,7 @@ from graphlets import (
     scaled_contributions,
     unrestricted_counts,
 )
-from graphlets.estimate import _resolve_workers
+from graphlets.estimate import _draw, _resolve_workers
 
 
 # --- designs ---------------------------------------------------------------
@@ -56,23 +56,22 @@ def test_bernoulli_determinism_and_rate():
     assert abs(np.mean(drawn) / g.m - 0.4) < 0.05
 
 
-def test_fixed_size_prefix_nesting():
+def test_draw_set_nesting():
+    # one key per edge: a larger target with the same seed draws a superset
     g = gen_er(40, 0.3, 1)
-    small = sample_edges(g, SampleDesign(size=15, seed=3))
-    big = sample_edges(g, SampleDesign(size=40, seed=3))
-    assert small.tolist() == big[:15].tolist()
-    kco_small = sample_edges(g, SampleDesign(size=15, weighting="kcore", seed=3))
-    kco_big = sample_edges(g, SampleDesign(size=40, weighting="kcore", seed=3))
-    assert kco_small.tolist() == kco_big[:15].tolist()
+    for small, big in ((dict(size=15), dict(size=40)),
+                       (dict(size=15, weighting="kcore"), dict(size=40, weighting="kcore")),
+                       (dict(p=0.2), dict(p=0.4))):
+        a = set(sample_edges(g, SampleDesign(seed=3, **small)).tolist())
+        b = set(sample_edges(g, SampleDesign(seed=3, **big)).tolist())
+        assert a < b, (small, big)
 
 
 def test_fixed_size_too_large():
     g = gen_er(10, 0.3, 1)
     with pytest.raises(ValueError):
         sample_edges(g, SampleDesign(size=g.m + 1))
-    # but fine with replacement
-    ids = sample_edges(g, SampleDesign(size=g.m + 5, replacement=True))
-    assert len(ids) == g.m + 5
+    assert len(sample_edges(g, SampleDesign(size=g.m))) == g.m
 
 
 def test_custom_weights_validation_and_zero_exclusion():
@@ -92,15 +91,44 @@ def test_custom_weights_validation_and_zero_exclusion():
 
 
 def test_kcore_draw_frequency():
-    # triangle with a pendant: core weights (2,2,1,2) make the pendant edge
-    # land 1/7 of replacement draws
+    # triangle with a pendant: core weights 2 on the triangle and 1 on the
+    # pendant give pi = 4/7 and 2/7 at an expected size of 2
     g = from_edges([(0, 1), (0, 2), (1, 2), (0, 3)])
-    pendant = g.edge_id(0, 3)
-    ids = sample_edges(g, SampleDesign(size=100_000, replacement=True,
-                                       weighting="kcore", seed=0))
-    freq = np.mean(ids == pendant)
-    se = math.sqrt((1 / 7) * (6 / 7) / 100_000)
-    assert abs(freq - 1 / 7) < 4 * se
+    pi = np.full(g.m, 4 / 7)
+    pi[g.edge_id(0, 3)] = 2 / 7
+    design = dict(size=2, weighting="kcore")
+    assert np.allclose(_draw(g, SampleDesign(**design))[1], pi)
+    runs = 20_000
+    hits = np.zeros(g.m)
+    for s in range(runs):
+        hits[sample_edges(g, SampleDesign(seed=s, **design))] += 1
+    se = np.sqrt(pi * (1 - pi) / runs)
+    assert (np.abs(hits / runs - pi) < 4 * se).all(), hits / runs
+
+
+def test_heavy_edge_capped_at_certainty():
+    g = gen_er(20, 0.3, 2)
+    w = [1.0] * g.m
+    w[5] = 100.0
+    ids, pi = _draw(g, SampleDesign(size=10, weighting="custom", weights=tuple(w)))
+    assert pi[5] == 1.0 and 5 in ids.tolist()
+    assert pi.sum() == pytest.approx(10, abs=1e-9)
+    assert np.allclose(np.delete(pi, 5), 9 / (g.m - 1))
+    # only the capped edge drawn: one level at pi = 1, yet not every edge
+    w[5] = 1e6
+    design = SampleDesign(p=1.01 / g.m, weighting="custom", weights=tuple(w))
+    assert sample_edges(g, design).tolist() == [5]
+    est = sample_and_estimate(g, design)
+    assert est.p == 1.0 and est.k_used == 1 and isinstance(est.X[3 - 1], float)
+
+
+def test_empty_draw_estimates():
+    g = gen_er(20, 0.3, 2)
+    design = SampleDesign(p=1e-15, seed=0)
+    assert len(sample_edges(g, design)) == 0
+    est = sample_and_estimate(g, design)
+    assert est.k_used == 0 and est.X[3 - 1] == 0
+    assert sum(est.X[6:]) == pytest.approx(math.comb(g.n, 4))
 
 
 # --- accumulation ----------------------------------------------------------
@@ -254,28 +282,20 @@ def test_fixed_size_estimation():
     assert abs(mean[i] - truth[i]) <= 4 * se[i]
 
 
-def test_replacement_estimation_runs():
-    g = gen_er(25, 0.3, 9)
-    est = sample_and_estimate(g, SampleDesign(size=30, replacement=True, seed=1))
-    assert est.k_used == 30
-    assert all(x >= 0 for x in est.X)
-
-
-def test_weighted_estimate_no_ci():
+def test_weighted_estimate_has_ci():
     g = gen_er(25, 0.3, 10)
-    est = sample_and_estimate(
-        g, SampleDesign(size=40, replacement=True, weighting="kcore", seed=2))
-    assert est.variance is None and est.p is None
-    with pytest.raises(ValueError):
-        confidence_bounds(est)
+    est = sample_and_estimate(g, SampleDesign(size=40, weighting="kcore", seed=2))
+    assert est.p is None  # several core levels, several inclusion probabilities
+    assert all(v >= 0 for v in est.variance) and est.variance[12 - 1] > 0
+    lb, ub = confidence_bounds(est)
+    assert all(l <= x <= u for l, x, u in zip(lb, est.X, ub))
 
 
-def test_weighted_replacement_unbiased_triangles():
+def test_weighted_unbiased_triangles():
     g = gen_er(20, 0.35, 11)
     truth = brute_force_counts(g)
     runs = np.array(
-        [sample_and_estimate(
-            g, SampleDesign(size=60, replacement=True, weighting="kcore", seed=s)).X
+        [sample_and_estimate(g, SampleDesign(size=60, weighting="kcore", seed=s)).X
          for s in range(300)],
         dtype=float,
     )
@@ -289,7 +309,7 @@ def test_weighted_without_replacement_runs():
     g = gen_er(20, 0.35, 11)
     est = sample_and_estimate(
         g, SampleDesign(size=g.m // 2, weighting="kcore", seed=3))
-    assert est.variance is None
+    assert est.variance is not None
     assert all(x >= 0 for x in est.X)
 
 

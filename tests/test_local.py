@@ -65,6 +65,16 @@ def test_unrestricted_tuple_shape(named):
     assert c[0] == 1 and c[1] == 0 and c[5] == 0 and c[16] == 0
 
 
+def test_unrestricted_rejects_bad_edges(named):
+    g = named["P4"]
+    for e in (-1, g.m):
+        with pytest.raises(ValueError):
+            unrestricted_counts(g, e)  # -1 must not wrap to the last edge
+    with pytest.raises(KeyError):
+        unrestricted_counts(g, (0, 2))  # not an edge
+    assert unrestricted_counts(g, (2, 1)) == unrestricted_counts(g, 1)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_unrestricted_matches_zone_formulas(seed):
     g = gen_er(20, 0.3, seed + 9)

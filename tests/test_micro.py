@@ -140,6 +140,18 @@ def test_sampled_micro_unbiased_mean():
             assert abs(mean[i] - exact[i]) <= 4 * se[i], i
 
 
+def test_sampled_micro_unclamped_low_count():
+    # a zero clamp pulls this slot's mean about 19 SE above its true value
+    g = gen_er(30, 0.35, 43)
+    kernel = MicroKernel(g)
+    i = 15 - 1  # 4-node-2-edge
+    assert micro_counts(g, 63).x[i] == 2
+    rng = np.random.default_rng(0)
+    vals = np.array([kernel.counts(63, p_e=0.4, rng=rng).x[i] for _ in range(2000)])
+    se = vals.std(ddof=1) / np.sqrt(len(vals))
+    assert abs(vals.mean() - 2) <= 4 * se, (vals.mean(), se)
+
+
 def test_sampled_micro_deterministic_by_seed():
     g = gen_er(25, 0.3, 43)
     a = micro_counts(g, 4, p_e=0.3, seed=9)

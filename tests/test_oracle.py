@@ -82,6 +82,15 @@ def test_edge_counts_by_id_or_pair(named):
         brute_force_edge_counts(g, (0, 2))  # diagonal of C4
 
 
+def test_edge_counts_reject_bad_ids(named):
+    g = named["P4"]
+    for e in (-1, g.m):
+        with pytest.raises(ValueError):
+            brute_force_edge_counts(g, e)  # -1 must not wrap to the last edge
+    with pytest.raises(KeyError):
+        brute_force_edge_counts(g, (0, 2))
+
+
 def test_multiplicity_identity():
     # per-edge counts summed over edges = global count * edges-per-pattern
     for seed in range(4):
