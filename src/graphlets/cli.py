@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import patterns
-from .adaptive import LOSSES, AdaptiveConfig, adaptive_estimate
+from .adaptive import AdaptiveConfig, adaptive_estimate
 from .estimate import (
     GFD_VARIANTS,
     SampleDesign,
@@ -201,8 +201,7 @@ def _cmd_micro(args) -> int:
 def _cmd_adaptive(args) -> int:
     started = time.perf_counter()
     g = _load(args)
-    cfg = AdaptiveConfig(beta=args.beta, loss=args.loss, phi0=args.phi0,
-                         eps=args.eps, t_max=args.t_max, seed=args.seed)
+    cfg = AdaptiveConfig(beta=args.beta, t_max=args.t_max, seed=args.seed)
     res = adaptive_estimate(g, cfg, workers=args.workers)
     payload = {
         "n": g.n, "m": g.m,
@@ -329,12 +328,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_micro)
 
-    p = subs.add_parser("adaptive", help="sample until estimates stabilize")
+    p = subs.add_parser("adaptive",
+                        help="double the sample until the 95%% CIs are within beta")
     _add_io(p); _add_workers(p)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--loss", default="max_rel", choices=list(LOSSES))
-    p.add_argument("--phi0", type=float, default=None)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--beta", type=float, default=0.01,
+                   help="relative 95%% CI half-width to reach on 4-vertex patterns")
     p.add_argument("--t-max", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true",

@@ -10,7 +10,8 @@ totals with the fixed correction weights.  The variance estimate is
 sum over drawn edges of (1 - pi) / pi^2 times the squared contribution.
 All accumulation is exact integer arithmetic (128-bit is a floor, Python
 ints do not overflow), so results are bitwise identical for any worker
-count or batch split; floats appear only in the final reported numbers.
+count or batch split; floats appear only where a sampled level's sums are
+divided by its pi, and exact counts stay integers.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -318,17 +319,24 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
 
     ``acc`` is one accumulator or a list of them, one per inclusion level.
     Each total is the Horvitz-Thompson sum over levels of counts / pi, and
-    each variance the sum of (1 - pi) / pi^2 * sq / 144.  The chain runs in
-    exact rational arithmetic; negative slots are clamped to zero in the
-    report (flagged) but the complement slots are computed from the raw
-    linear values so the level sums stay exact whenever no clamp fires.
+    each variance the sum of (1 - pi) / pi^2 * sq / 144; pi = 1 levels are
+    summed exactly and each pi < 1 level is rounded to float once.  The
+    chain runs in exact rational arithmetic on those totals; negative slots
+    are clamped to zero in the report (flagged) but the complement slots are
+    computed from the raw linear values so the level sums stay exact
+    whenever no clamp fires.
     """
     levels = [acc] if isinstance(acc, UnrestrictedAccumulator) else list(acc)
     if any(a.inclusion is None or not (0 < a.inclusion <= 1) for a in levels):
         raise ValueError("accumulator lacks a valid inclusion probability")
 
-    totals = [sum((Fraction(a.counts[i]) / a.inclusion for a in levels), Fraction(0))
-              for i in range(17)]
+    # an exact sum over many distinct pi would grow its denominators
+    sampled = [a for a in levels if a.inclusion < 1]
+    totals = [
+        sum(a.counts[i] for a in levels if a.inclusion == 1)
+        + Fraction(math.fsum(a.counts[i] / float(a.inclusion) for a in sampled))
+        for i in range(17)
+    ]
     raw = _chain(totals, g.n, g.m)
     k_used = sum(a.k_used for a in levels)
     exact = k_used == g.m and all(a.inclusion == 1 for a in levels)
@@ -343,16 +351,11 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
         else:
             out.append(float(x))
 
-    sampled = [a for a in levels if a.inclusion < 1]  # pi = 1 adds no variance
-    variance = None
+    variance = None  # pi = 1 levels add none
     if all(a.sq is not None for a in sampled):
-        # rounded once per level: an exact sum over many distinct pi would
-        # grow its denominators with every level
-        variance = [
-            sum((float((1 - a.inclusion) / a.inclusion ** 2 * a.sq[i] / (SCALE * SCALE))
-                 for a in sampled), 0.0)
-            for i in range(17)
-        ]
+        factors = [(1 - a.inclusion) / (a.inclusion ** 2 * SCALE * SCALE) for a in sampled]
+        variance = [math.fsum(float(f * a.sq[i]) for f, a in zip(factors, sampled))
+                    for i in range(17)]
 
     return GraphletEstimate(
         X=out, variance=variance,
@@ -386,11 +389,11 @@ def sample_and_estimate(
 
 def confidence_bounds(
     est: GraphletEstimate, alpha: float = 0.05
-) -> tuple[list[float], list[float]]:
+) -> tuple[list, list]:
     """Normal-approximation bounds X -+ z * sqrt(var), lower clamped at 0.
 
-    At full sampling the variances are zero and both bounds collapse onto
-    the point estimate.
+    A slot with zero variance (every slot at full sampling) gets the point
+    estimate itself as both bounds, so exact integer counts stay exact.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -399,6 +402,10 @@ def confidence_bounds(
     z = 1.96 if abs(alpha - 0.05) < 1e-12 else NormalDist().inv_cdf(1 - alpha / 2)
     lb, ub = [], []
     for x, v in zip(est.X, est.variance):
+        if v == 0:
+            lb.append(x)
+            ub.append(x)
+            continue
         h = z * math.sqrt(v)
         lb.append(max(0.0, float(x) - h))
         ub.append(float(x) + h)

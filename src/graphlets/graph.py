@@ -8,6 +8,7 @@ statistics, tie breaking).
 
 from __future__ import annotations
 
+import errno
 import gzip
 import os
 import re
@@ -330,8 +331,12 @@ def load_graph(source: str | os.PathLike, fmt: str = "auto") -> Graph:
     """Load a graph from a file path (gzip by suffix) or from literal text.
 
     A string argument naming an existing file is read from disk; any other
-    string is treated as graph text itself.
+    string is treated as graph text itself, except one without whitespace:
+    every edge line needs two labels, so that string can only be a missing
+    path and raises ``FileNotFoundError``.
     """
+    if isinstance(source, str) and source.split() == [source] and not os.path.exists(source):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source)
     if isinstance(source, os.PathLike) or (
         isinstance(source, str) and "\n" not in source and os.path.exists(source)
     ):

@@ -161,13 +161,12 @@ def test_criterion_05_gfd_closeness():
 
 
 def test_criterion_06_adaptive_convergence():
-    # the halving loop stops by its own delta <= beta rule and the result is
+    # the doubling loop stops by its own delta <= beta rule and the result is
     # within 5% of truth on every 4-vertex pattern; budget 60s
     t0 = time.perf_counter()
     g = gen_er(1000, 0.01, 11)
     truth = exact_counts(g).X
-    res = adaptive_estimate(
-        g, AdaptiveConfig(beta=0.01, phi0=0.9, t_max=200, seed=3))
+    res = adaptive_estimate(g, AdaptiveConfig(beta=0.01, t_max=200, seed=3))
     assert res.converged, res.reason
     errs = relative_error(res.estimate.X, truth)
     worst = 0.0
@@ -280,8 +279,7 @@ def test_criterion_09_complement_identities(cal_graph):
                                   with_variance=False), big.n)
 
     g6 = gen_er(1000, 0.01, 11)
-    res = adaptive_estimate(g6, AdaptiveConfig(beta=0.01, phi0=0.9, t_max=200,
-                                               seed=3))
+    res = adaptive_estimate(g6, AdaptiveConfig(beta=0.01, t_max=200, seed=3))
     check(res.estimate, g6.n)
     for row in res.trace:
         X = row["X"]
@@ -331,3 +329,42 @@ def test_criterion_10_every_design_calibrated(cal_graph):
     report(f"criterion 10: worst |mean-truth|/SE = {worst:.2f} <= 4 and lowest "
            f"coverage {lowest:.1%} >= 90% over 4 designs x {n_runs} runs "
            f"({dt:.1f}s)")
+
+
+def test_criterion_11_adaptive_calibrated():
+    # on a heavy-tailed graph at beta = 0.2, seeds 0-19: >= 18 runs stop
+    # "converged" before exhaustion with delta <= beta, and the final 95%
+    # bounds cover the truth >= 90% of the time, pooled over the 11 four-vertex
+    # slots; the result is the Poisson estimate at the final p (seeds 0-2),
+    # and a graph with no 4-vertex sets exhausts to exact counts; budget 60s
+    t0 = time.perf_counter()
+    g = gen_power_law(6000, 6.0, 2)
+    truth = exact_counts(g).X
+    beta = 0.2
+    converged = covered = 0
+    final_p = []
+    for s in range(20):
+        res = adaptive_estimate(g, AdaptiveConfig(beta=beta, seed=s))
+        if res.reason != "converged":
+            continue
+        assert res.sampled_edges < g.m and res.delta <= beta, (s, res.delta)
+        converged += 1
+        final_p.append(res.trace[-1]["p"])
+        lb, ub = confidence_bounds(res.estimate, alpha=0.05)
+        covered += sum(lb[i] <= truth[i] <= ub[i] for i in range(6, 17))
+        if s < 3:
+            direct = sample_and_estimate(g, SampleDesign(p=final_p[-1], seed=s))
+            assert res.estimate.X == direct.X, s
+            assert res.estimate.variance == direct.variance, s
+    assert converged >= 18, converged
+    coverage = covered / (11 * converged)
+    assert coverage >= 0.90, coverage
+
+    tri = from_edges([(0, 1), (0, 2), (1, 2)])
+    res = adaptive_estimate(tri, AdaptiveConfig(beta=beta))
+    assert res.reason == "exhausted" and res.estimate.X == brute_force_counts(tri)
+    dt = time.perf_counter() - t0
+    assert dt < 60
+    report(f"criterion 11: {converged}/20 converged at p <= {max(final_p):.3f} "
+           f"(m={g.m}), 95% coverage {covered}/{11 * converged} = "
+           f"{coverage:.1%} >= 90% ({dt:.1f}s)")

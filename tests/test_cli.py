@@ -104,8 +104,7 @@ def test_micro_bad_edge(k4_file, capsys):
 
 
 def test_adaptive_cmd(capsys, er_file):
-    code, doc = run_json(capsys, ["adaptive", er_file, "--beta", "0.1",
-                                  "--phi0", "0.5", "--trace"])
+    code, doc = run_json(capsys, ["adaptive", er_file, "--beta", "0.1", "--trace"])
     assert code == 0
     assert doc["converged"] in (True, False)
     assert doc["iterations"] == len(doc["trace"])

@@ -12,6 +12,7 @@ from graphlets import (
     confidence_bounds,
     estimate_counts,
     exact_counts,
+    Graph,
     from_edges,
     gfd,
     ks_statistic,
@@ -22,7 +23,7 @@ from graphlets import (
     scaled_contributions,
     unrestricted_counts,
 )
-from graphlets.estimate import _draw, _resolve_workers
+from graphlets.estimate import _chain, _draw, _resolve_workers
 
 
 # --- designs ---------------------------------------------------------------
@@ -129,6 +130,23 @@ def test_empty_draw_estimates():
     est = sample_and_estimate(g, design)
     assert est.k_used == 0 and est.X[3 - 1] == 0
     assert sum(est.X[6:]) == pytest.approx(math.comb(g.n, 4))
+
+
+def test_multilevel_totals_match_exact_sum():
+    # one inclusion level per drawn edge, plus one capped at pi = 1: the
+    # per-level float totals agree with the exact rational Horvitz-Thompson sum
+    g = gen_er(60, 0.15, 3)
+    w = np.random.default_rng(0).uniform(1, 2, g.m)
+    w[0] = 1e4
+    design = SampleDesign(p=0.4, weighting="custom", weights=tuple(w), seed=1)
+    ids, pi = _draw(g, design)
+    assert pi[0] == 1.0 and len(np.unique(pi[ids])) == len(ids) > 50
+    est = sample_and_estimate(g, design)
+    levels = [accumulate(g, [e], inclusion=Fraction(pi[e])) for e in ids]
+    exact = _chain([sum(Fraction(a.counts[i]) / a.inclusion for a in levels)
+                    for i in range(17)], g.n, g.m)
+    for x, e in zip(est.X, exact):
+        assert x == pytest.approx(float(max(e, 0)), rel=1e-12)
 
 
 # --- accumulation ----------------------------------------------------------
@@ -338,6 +356,19 @@ def test_alpha_validation_and_width():
     i = 12 - 1
     assert ub99[i] - lb99[i] > ub95[i] - lb95[i]
     assert all(l >= 0 for l in lb95)
+
+
+def test_exact_bounds_are_the_exact_counts():
+    # a single edge among 2e8 vertices: slot 17 is past 2**53, where a float
+    # bound would exclude the exact count; the marks' untouched pages cost no RSS
+    n = 2 * 10**8
+    g = Graph(n=n, indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32),
+              edges=np.array([[0, 1]]))
+    est = exact_counts(g)
+    assert est.X[17 - 1] == 66666664666666665000000449999997
+    lb, ub = confidence_bounds(est)
+    assert lb == est.X and ub == est.X
+    assert all(type(v) is int for v in lb + ub)
 
 
 # --- distributions ---------------------------------------------------------

@@ -183,6 +183,18 @@ def test_load_graph_path_text_and_gzip(tmp_path):
         load_graph(123)
 
 
+def test_load_graph_missing_file(tmp_path):
+    # a string without whitespace cannot be graph text: it names a path
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(FileNotFoundError, match="missing.txt"):
+        load_graph(missing)
+    with pytest.raises(FileNotFoundError):
+        load_graph("missing.txt")
+    # text with whitespace is still parsed, and still reports parse errors
+    with pytest.raises(GraphParseError):
+        load_graph("0 1 2\n")
+
+
 def test_random_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(10):
