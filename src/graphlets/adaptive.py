@@ -6,7 +6,8 @@ nested, so each round accumulates only the edges new to it and the running
 total is exactly the Horvitz-Thompson estimate at p_t.  The loop stops when
 the 95% confidence bound of every 4-vertex pattern lies within ``beta`` of
 its estimate (relative), when p reaches 1 (the answer is then the exact
-count), or when the round budget runs out.
+count, taken from the whole-graph pass of ``exact_counts``), or when the
+round budget runs out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .estimate import (
     accumulate,
     confidence_bounds,
     estimate_counts,
+    exact_counts,
     sample_edges,
 )
 from .graph import Graph
@@ -79,9 +81,12 @@ def adaptive_estimate(
     for t in range(1, cfg.t_max + 1):
         p = min(1.0, 2.0 ** t / math.sqrt(g.m))
         drawn = sample_edges(g, SampleDesign(p=p, seed=cfg.seed))
-        part = accumulate(g, np.setdiff1d(drawn, ids), workers=workers, with_sq=True)
-        acc = replace(part if acc is None else acc.merge(part), inclusion=Fraction(p))
-        est = estimate_counts(g, acc)
+        if p == 1:  # every edge drawn: the whole-graph pass gives the same totals
+            est = exact_counts(g, workers=workers)
+        else:
+            part = accumulate(g, np.setdiff1d(drawn, ids), workers=workers, with_sq=True)
+            acc = replace(part if acc is None else acc.merge(part), inclusion=Fraction(p))
+            est = estimate_counts(g, acc)
         delta = _ci_delta(est)
         trace.append({
             "round": t,

@@ -11,7 +11,9 @@ sum over drawn edges of (1 - pi) / pi^2 times the squared contribution.
 All accumulation is exact integer arithmetic (128-bit is a floor, Python
 ints do not overflow), so results are bitwise identical for any worker
 count or batch split; floats appear only where a sampled level's sums are
-divided by its pi, and exact counts stay integers.
+divided by its pi, and exact counts stay integers.  ``exact_counts`` takes
+its totals from the serial whole-graph pass of ``wholegraph``, not from
+this per-edge accumulation.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -31,6 +33,7 @@ import numpy as np
 from . import patterns
 from .graph import Graph
 from .local import VertexMarker, unrestricted_counts
+from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
 
@@ -365,8 +368,14 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
 
 
 def exact_counts(g: Graph, workers: int | None = 1) -> GraphletEstimate:
-    """Exact counts of all seventeen patterns: full accumulation at p = 1."""
-    acc = accumulate(g, np.arange(g.m), workers=workers, inclusion=Fraction(1))
+    """Exact counts of all seventeen patterns from one whole-graph pass.
+
+    The pass (``wholegraph.edge_totals``) is serial; ``workers`` is only
+    validated, so callers may pass the same value as to the sampled paths.
+    """
+    _resolve_workers(workers)
+    acc = UnrestrictedAccumulator(counts=edge_totals(g), sq=None, k_used=g.m,
+                                  inclusion=Fraction(1))
     return estimate_counts(g, acc)
 
 

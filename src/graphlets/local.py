@@ -114,27 +114,6 @@ def cycle_count(g: Graph, local: EdgeLocal, marker: VertexMarker) -> int:
     return int(np.count_nonzero(hits))
 
 
-def clique_count_bsearch(g: Graph, T: np.ndarray) -> int:
-    """Marker-free 4-clique tally: binary-search each T-neighbor in T."""
-    if len(T) < 2:
-        return 0
-    flat = _flat_neighbors(g, np.asarray(T))
-    pos = np.searchsorted(T, flat)
-    pos[pos == len(T)] = 0
-    return int(np.count_nonzero(T[pos] == flat)) // 2
-
-
-def cycle_count_bsearch(g: Graph, S_u: np.ndarray, S_v: np.ndarray) -> int:
-    """Marker-free 4-cycle tally: binary-search S_u's neighbors in S_v."""
-    if len(S_u) == 0 or len(S_v) == 0:
-        return 0
-    side, table = (S_u, S_v) if len(S_u) <= len(S_v) else (S_v, S_u)
-    flat = _flat_neighbors(g, np.asarray(side))
-    pos = np.searchsorted(table, flat)
-    pos[pos == len(table)] = 0
-    return int(np.count_nonzero(table[pos] == flat))
-
-
 def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tuple[int, ...]:
     """The 17-slot unrestricted tally vector c(e) for one edge.
 

@@ -34,6 +34,8 @@ from graphlets import (
 )
 from fractions import Fraction
 
+from graphlets.wholegraph import edge_totals
+
 
 def er_retry(n, p, seed):
     # roll forward deterministically when a sparse draw comes up empty
@@ -188,7 +190,7 @@ _SCALE_TIMES = {}
 
 def test_criterion_07_parallel_identity_at_scale():
     # ~1M-edge heavy-tailed graph: 1, 2, and 4 workers produce bitwise
-    # identical totals; budget 600s for all three passes
+    # identical totals, and so does the whole-graph pass; budget 600s for all
     t0 = time.perf_counter()
     g = gen_power_law(400_000, 5.0, seed=13)
     assert g.m > 900_000
@@ -199,11 +201,14 @@ def test_criterion_07_parallel_identity_at_scale():
         results[w] = accumulate(g, ids, workers=w, inclusion=Fraction(1))
         _SCALE_TIMES[w] = time.perf_counter() - tw
     assert results[1].counts == results[2].counts == results[4].counts
+    tw = time.perf_counter()
+    assert edge_totals(g) == results[1].counts  # the whole-graph pass agrees
+    whole = time.perf_counter() - tw
     dt = time.perf_counter() - t0
     assert dt < 600
     report(f"criterion 7a: workers 1/2/4 bitwise identical on m={g.m} "
            f"(times {_SCALE_TIMES[1]:.0f}/{_SCALE_TIMES[2]:.0f}/"
-           f"{_SCALE_TIMES[4]:.0f}s)")
+           f"{_SCALE_TIMES[4]:.0f}s), whole-graph pass equal in {whole:.1f}s")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

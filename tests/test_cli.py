@@ -151,6 +151,24 @@ def test_verify_cmd(capsys, er_file):
     assert doc["match"] is True and doc["mismatches"] == {}
 
 
+def test_verify_cross_checks_edge_kernel(capsys, er_file, monkeypatch):
+    # the oracle and the whole-graph pass still agree; an edge kernel one off
+    # in the 3-vertex one-edge total must fail verification on its own
+    real = graphlets.cli.accumulate
+
+    def off_by_one(*args, **kwargs):
+        acc = real(*args, **kwargs)
+        acc.counts[4] += 1
+        return acc
+
+    monkeypatch.setattr(graphlets.cli, "accumulate", off_by_one)
+    code, doc = run_json(capsys, ["verify", er_file])
+    assert code == 4
+    assert doc["match"] is False
+    bad = doc["mismatches"]["3-node-1-edge"]
+    assert bad["expected"] == bad["got"] == bad["edge_kernel"] - 1
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2 3 4\n")

@@ -3,12 +3,8 @@ import pytest
 
 from gen import gen_er
 from graphlets import VertexMarker, classify_edge, from_edges, unrestricted_counts
-from graphlets.local import (
-    clique_count,
-    clique_count_bsearch,
-    cycle_count,
-    cycle_count_bsearch,
-)
+from graphlets.local import clique_count, cycle_count
+from graphlets.oracle import brute_force_edge_counts
 
 
 def zones_by_sets(g, u, v):
@@ -39,10 +35,9 @@ def test_clique_cycle_marker_vs_bsearch(seed):
     for e in range(g.m):
         u, v = map(int, g.edges[e])
         loc = classify_edge(g, u, v, marker)
-        k_mark = clique_count(g, loc, marker)
-        c_mark = cycle_count(g, loc, marker)
-        assert k_mark == clique_count_bsearch(g, loc.T)
-        assert c_mark == cycle_count_bsearch(g, loc.S_u, loc.S_v)
+        ref = brute_force_edge_counts(g, e)
+        assert clique_count(g, loc, marker) == ref[6]  # 4-cliques at e
+        assert cycle_count(g, loc, marker) == ref[9]  # induced 4-cycles at e
 
 
 def test_clique_cycle_by_hand():
