@@ -79,7 +79,7 @@ def adaptive_estimate(
     ids = np.empty(0, dtype=np.int64)
     trace: list[dict] = []
     for t in range(1, cfg.t_max + 1):
-        p = min(1.0, 2.0 ** t / math.sqrt(g.m))
+        p = min(1.0, 2.0 ** t / math.sqrt(max(g.m, 1)))  # edgeless: exhausted at once
         drawn = sample_edges(g, SampleDesign(p=p, seed=cfg.seed))
         if p == 1:  # every edge drawn: the whole-graph pass gives the same totals
             est = exact_counts(g, workers=workers)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .estimate import (
     sample_and_estimate,
 )
 from .extremal import max_per_edge
-from .graph import Graph, GraphParseError, load_graph
+from .graph import FORMATS, Graph, GraphParseError, load_graph, parse_graph
 from .micro import micro_counts, univariate_stats
 from .oracle import OracleSizeError, brute_force_counts, brute_force_edge_counts
 
@@ -55,9 +54,8 @@ def _named(values) -> dict:
 
 def _add_io(sub):
     sub.add_argument("graph", help="graph file (edge list, canonical, or "
-                     "MatrixMarket; .gz ok) or '-' for stdin")
-    sub.add_argument("--input-format", default="auto",
-                     choices=["auto", "edgelist", "canonical", "mtx"])
+                     "MatrixMarket; gzip ok) or '-' for stdin")
+    sub.add_argument("--input-format", default="auto", choices=FORMATS)
     sub.add_argument("--format", default="json", choices=["json", "tsv"])
     sub.add_argument("--output", default=None, help="write here instead of stdout")
     sub.add_argument("--progress", action="store_true",
@@ -89,9 +87,7 @@ def _load(args) -> Graph:
     if args.progress:
         print(f"loading {args.graph}", file=sys.stderr)
     if args.graph == "-":
-        return load_graph(sys.stdin.read() or "\n", args.input_format)
-    if not os.path.exists(args.graph):
-        raise FileNotFoundError(args.graph)
+        return parse_graph(sys.stdin.read(), args.input_format)
     return load_graph(args.graph, args.input_format)
 
 
@@ -383,7 +379,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GraphParseError as exc:
+    except (GraphParseError, UnicodeDecodeError) as exc:  # undecodable stdin too
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

@@ -104,6 +104,8 @@ def _draw(g: Graph, design: SampleDesign) -> tuple[np.ndarray, np.ndarray]:
         avail = int(np.count_nonzero(w))
         if target > avail:
             raise ValueError(f"cannot draw {target:g} edges from {avail} available")
+        if not avail:  # an edgeless graph: nothing to draw
+            return np.empty(0, dtype=np.int64), w
         desc = np.sort(w)[::-1]
         tail = np.cumsum(desc[::-1])[::-1]  # tail[j]: weight left after j caps
         # the fewest caps j that leave the next-heaviest edge at pi <= 1

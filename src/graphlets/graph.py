@@ -4,19 +4,35 @@ The in-memory form is CSR adjacency (sorted neighbor lists) plus a canonical
 edge table: rows (u, v) with u < v, sorted lexicographically.  The row index
 of that table is the edge id used everywhere else (sampling, per-edge
 statistics, tie breaking).
+
+``load_graph(path)`` reads a file, gunzipping it when it starts with the gzip
+magic bytes, and ``parse_graph(text)`` parses text.  Parsing tokenizes once
+(blank and ``#``/``%`` lines dropped, commas count as whitespace) into one
+array, and no Python loop runs over rows after that.  Under ``fmt="auto"``:
+
+1. a ``%%MatrixMarket`` banner (or ``fmt="mtx"``) means MatrixMarket: a
+   ``rows cols nnz`` line, nnz 1-based ``i j [value]`` rows, n = max(rows, cols);
+2. otherwise a first row ``n m`` of non-negative integers with m <= C(n, 2)
+   and exactly m rows after it is a canonical header (``fmt="canonical"``
+   requires it, ``fmt="edgelist"`` skips this rule).  The rows must then be
+   distinct pairs 0 <= u < v < n, or GraphParseError names the first bad line;
+3. otherwise the text is an edge list, its labels compacted to dense ids by
+   first appearance.  Integer labels that fit in int64 compare as integers.
+
+Every format rejects self-loops at their line and allows m = 0.
 """
 
 from __future__ import annotations
 
-import errno
 import gzip
 import os
-import re
+import zlib
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-_SPLIT = re.compile(r"[,\s]+")
+FORMATS = ("auto", "edgelist", "canonical", "mtx")
 
 
 class GraphParseError(ValueError):
@@ -125,39 +141,40 @@ def from_edges(pairs, n: int | None = None, labels: list | None = None) -> Graph
     """Build a Graph from an iterable of (u, v) int pairs.
 
     Self-loops are dropped and duplicates merged.  ``n`` overrides the
-    inferred vertex count (max id + 1), never shrinking it.
+    inferred vertex count (max id + 1), never shrinking it; with ``n`` given
+    there may be no pairs at all, which builds an edgeless graph.
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=np.int64)
+    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), np.int64)
     if arr.size == 0:
-        raise GraphParseError("graph has no edges")
+        arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edge array must have shape (m, 2)")
-    if arr.min() < 0:
+    if arr.min(initial=0) < 0:
         raise ValueError("vertex ids must be non-negative")
     arr = arr[arr[:, 0] != arr[:, 1]]  # self-loops
-    if len(arr) == 0:
-        raise GraphParseError("graph has no edges after dropping self-loops")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    edges = np.unique(np.column_stack([lo, hi]), axis=0)
-    n_seen = int(edges.max()) + 1
+    n_seen = int(arr.max(initial=-1)) + 1
     if n is None:
+        if not n_seen:
+            raise GraphParseError("graph has no edges and no declared n")
         n = n_seen
     elif n < n_seen:
         raise ValueError(f"declared n={n} smaller than max vertex id {n_seen - 1}")
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"n={n} does not fit the int32 vertex ids")
 
-    both = np.concatenate([edges, edges[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
+    # both orientations as keys src * n + dst: sorted, they are the CSR order,
+    # and the src < dst half is the lexicographic edge table
+    u, v = arr.T
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    up = src < dst
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, both[:, 0] + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(
         n=n,
         indptr=indptr,
-        indices=both[:, 1].astype(np.int32),
-        edges=edges.astype(np.int32),
+        indices=dst.astype(np.int32),
+        edges=np.column_stack([src[up], dst[up]]).astype(np.int32),
         labels=labels,
     )
 
@@ -207,147 +224,129 @@ def serialize(g: Graph) -> str:
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse graph text in edge-list, canonical, or MatrixMarket form.
-
-    ``fmt`` is one of auto/edgelist/canonical/mtx.  Auto detection: a
-    MatrixMarket banner wins; otherwise the text is accepted as canonical
-    when its first line is a consistent ``n m`` header (m matching the
-    number of following rows, all endpoints < n); anything else is an edge
-    list with arbitrary labels (``#`` and ``%`` comment lines allowed).
-    """
-    if fmt not in ("auto", "edgelist", "canonical", "mtx"):
+    """Parse graph text in one of ``FORMATS``, by the rules of the module docstring."""
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format hint {fmt!r}")
-    stripped = text.lstrip()
-    if stripped.startswith("%%MatrixMarket") or fmt == "mtx":
-        return _parse_mtx(text)
-
-    rows = []  # (lineno, tokens)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("%"):
-            continue
-        rows.append((lineno, _SPLIT.split(line)))
-    if not rows:
+    first, tok, widths, lineno = _tokenize(text)
+    if fmt == "mtx" or first[:1] == ["%%MatrixMarket"]:
+        return _parse_mtx(first, tok, widths, lineno)
+    if not len(widths):
         raise GraphParseError("no edges in input")
-
-    if fmt in ("auto", "canonical"):
-        g = _try_canonical(rows, strict=(fmt == "canonical"))
-        if g is not None:
-            return g
-    return _parse_edgelist(rows)
+    if fmt == "canonical" or (fmt == "auto" and _header(tok, widths)):
+        return _parse_canonical(tok, widths, lineno)
+    return _parse_edgelist(tok, widths, lineno)
 
 
-def _try_canonical(rows, strict: bool) -> Graph | None:
-    lineno, head = rows[0]
-    ok = len(head) == 2 and all(t.lstrip("-").isdigit() for t in head)
-    n = m = -1
-    if ok:
-        n, m = int(head[0]), int(head[1])
-        ok = n > 0 and m == len(rows) - 1
-    pairs = []
-    if ok:
-        for ln, toks in rows[1:]:
-            if len(toks) != 2 or not all(t.isdigit() for t in toks):
-                ok = False
-                lineno = ln
-                break
-            u, v = int(toks[0]), int(toks[1])
-            if not (0 <= u < v < n):
-                ok = False
-                lineno = ln
-                break
-            pairs.append((u, v))
-    if not ok:
-        if strict:
-            raise GraphParseError("not a valid canonical graph", lineno)
-        return None
-    return from_edges(pairs, n=n)
-
-
-def _parse_edgelist(rows) -> Graph:
-    label_ids: dict = {}
-    pairs = []
-    for lineno, toks in rows:
-        if len(toks) != 2:
-            raise GraphParseError(f"expected two labels, got {toks!r}", lineno)
-        ids = []
-        for t in toks:
-            if t not in label_ids:
-                label_ids[t] = len(label_ids)
-            ids.append(label_ids[t])
-        pairs.append(ids)
-    labels = list(label_ids)
-    # keep integer labels as integers so identity-labeled graphs stay plain
-    if all(t.lstrip("-").isdigit() for t in labels):
-        labels = [int(t) for t in labels]
-    return from_edges(pairs, n=len(label_ids), labels=labels)
-
-
-def _parse_mtx(text: str) -> Graph:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise GraphParseError("missing MatrixMarket banner", 1)
-    banner = lines[0].split()
-    if len(banner) < 3 or banner[1] != "matrix" or banner[2] != "coordinate":
-        raise GraphParseError(f"unsupported MatrixMarket type: {lines[0]!r}", 1)
-    dims = None
-    pairs = []
-    seen = 0
-    declared = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = _SPLIT.split(line)
-        if dims is None:
-            if len(toks) != 3:
-                raise GraphParseError(f"expected 'rows cols nnz', got {line!r}", lineno)
-            try:
-                r, c, nnz = (int(t) for t in toks)
-            except ValueError:
-                raise GraphParseError(f"non-integer dimensions {line!r}", lineno) from None
-            dims = max(r, c)
-            declared = nnz
-            continue
-        if len(toks) not in (2, 3):
-            raise GraphParseError(f"bad entry {line!r}", lineno)
+def _tokenize(text: str):
+    """(first non-blank line's tokens, the data rows' tokens as one array, each
+    data row's width and line number); data rows are not blank or ``#``/``%``
+    lines.  The array is int64 when every token is an integer, else str."""
+    lines = text.replace(",", " ").splitlines()
+    first = next(filter(None, map(str.split, lines)), [])
+    keep = [line.lstrip()[:1] not in "#%" for line in lines]  # "" (blank) is in "#%"
+    lineno = np.flatnonzero(keep) + 1
+    lines = list(compress(lines, keep))
+    widths = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    flat = " ".join(lines).split()  # per-row token lists would double time and memory
+    del lines
+    if "".join(flat).replace("-", "").isdecimal():
         try:
-            i, j = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise GraphParseError(f"non-integer vertex in {line!r}", lineno) from None
-        if not (1 <= i <= dims and 1 <= j <= dims):
-            raise GraphParseError(f"index out of range in {line!r}", lineno)
-        pairs.append((i - 1, j - 1))
-        seen += 1
-    if dims is None:
-        raise GraphParseError("missing dimension line")
-    if declared is not None and seen != declared:
-        raise GraphParseError(f"header declared {declared} entries, found {seen}")
-    # header dimensions are authoritative: isolated vertices are retained
-    return from_edges(pairs, n=dims)
+            return first, np.array(flat, dtype=np.int64), widths, lineno
+        except (ValueError, OverflowError):  # a stray "-", or past int64
+            pass
+    return first, np.array(flat, dtype=str), widths, lineno
 
 
-def load_graph(source: str | os.PathLike, fmt: str = "auto") -> Graph:
-    """Load a graph from a file path (gzip by suffix) or from literal text.
+def _naturals(tokens) -> list[int] | None:
+    """A few tokens as ints when each is a non-negative decimal integer."""
+    tokens = [str(t) for t in tokens]
+    return [int(t) for t in tokens] if all(t.isdecimal() for t in tokens) else None
 
-    A string argument naming an existing file is read from disk; any other
-    string is treated as graph text itself, except one without whitespace:
-    every edge line needs two labels, so that string can only be a missing
-    path and raises ``FileNotFoundError``.
-    """
-    if isinstance(source, str) and source.split() == [source] and not os.path.exists(source):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source)
-    if isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and os.path.exists(source)
-    ):
-        path = os.fspath(source)
-        if path.endswith(".gz"):
-            with gzip.open(path, "rt") as fh:
-                text = fh.read()
-        else:
-            with open(path, "rt") as fh:
-                text = fh.read()
-        return parse_graph(text, fmt)
-    if isinstance(source, str):
-        return parse_graph(source, fmt)
-    raise TypeError(f"cannot load graph from {type(source).__name__}")
+
+def _int_pairs(pairs: np.ndarray):
+    """(rows of two non-negative integers, the pairs as int64 with 0 elsewhere)."""
+    if pairs.dtype.kind == "i":
+        return (pairs >= 0).all(axis=1), pairs
+    ok = (np.char.isdecimal(pairs) & (np.char.str_len(pairs) <= 18)).all(axis=1)
+    return ok, np.where(ok[:, None], pairs, "0").astype(np.int64)
+
+
+def _fail_first(lineno: np.ndarray, checks, suffix: str = "") -> None:
+    """Raise GraphParseError at the earliest row flagged by any (mask, message)."""
+    flagged = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    if flagged:
+        row, i = min(flagged)
+        raise GraphParseError(checks[i][1] + suffix, int(lineno[row]))
+
+
+def _header(tok: np.ndarray, widths: np.ndarray) -> bool:
+    """Rule 2: a first row ``n m`` of naturals, with m <= C(n, 2) rows after it."""
+    nm = _naturals(tok[:2]) if widths[0] == 2 else None
+    return bool(nm) and nm[1] == len(widths) - 1 and nm[1] <= nm[0] * (nm[0] - 1) // 2
+
+
+def _parse_canonical(tok, widths, lineno) -> Graph:
+    hint = "; use --input-format edgelist to read the text as an edge list"
+    if not _header(tok, widths):
+        raise GraphParseError("expected an 'n m' header followed by m edge rows" + hint,
+                              int(lineno[0]))
+    n = int(tok[0])
+    lineno = lineno[1:]
+    _fail_first(lineno, [(widths[1:] != 2, "expected a 'u v' row")], hint)
+    ok, uv = _int_pairs(tok[2:].reshape(-1, 2))
+    u, v = uv.T
+    order = np.lexsort((v, u))
+    dup = np.zeros(len(u), dtype=bool)
+    dup[order[1:]] = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+    _fail_first(lineno, [
+        (~ok, "expected two non-negative integers"),
+        (u == v, "self-loop"),
+        (u > v, "canonical rows need u < v"),
+        (v >= n, f"vertex id not below the header's n = {n}"),
+        (dup, "duplicate edge"),
+    ], hint)
+    return from_edges(uv, n=n)
+
+
+def _parse_edgelist(tok, widths, lineno) -> Graph:
+    _fail_first(lineno, [(widths != 2, "expected two labels")])
+    labels, first, inverse = np.unique(tok, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # dense ids by first appearance
+    ids = np.argsort(order)[inverse].reshape(-1, 2)
+    _fail_first(lineno, [(ids[:, 0] == ids[:, 1], "self-loop")])
+    return from_edges(ids, n=len(labels), labels=labels[order].tolist())
+
+
+def _parse_mtx(banner, tok, widths, lineno) -> Graph:
+    if banner[:3] != ["%%MatrixMarket", "matrix", "coordinate"]:
+        raise GraphParseError(f"unsupported MatrixMarket banner {' '.join(banner)!r}")
+    if not len(widths) or widths[0] != 3 or not _naturals(tok[:3]):
+        raise GraphParseError("expected a 'rows cols nnz' line after the banner")
+    n, nnz = max(int(tok[0]), int(tok[1])), int(tok[2])
+    widths, lineno = widths[1:], lineno[1:]
+    _fail_first(lineno, [((widths < 2) | (widths > 3), "expected 'i j' or 'i j value'")])
+    if len(widths) != nnz:
+        raise GraphParseError(f"header declared {nnz} entries, found {len(widths)}")
+    starts = np.cumsum(widths) - widths + 3
+    ok, ij = _int_pairs(np.column_stack([tok[starts], tok[starts + 1]]))
+    _fail_first(lineno, [
+        (~ok, "non-integer index"),
+        (((ij < 1) | (ij > n)).any(axis=1), f"index out of range 1..{n}"),
+        (ij[:, 0] == ij[:, 1], "self-loop (diagonal entry)"),
+    ])
+    return from_edges(ij - 1, n=n)
+
+
+def load_graph(path: str | os.PathLike, fmt: str = "auto") -> Graph:
+    """Read a graph file, gzipped (by its magic bytes) or not, and parse it.
+
+    Bytes that are not UTF-8 text raise GraphParseError."""
+    with open(os.fspath(path), "rb") as fh:
+        data = fh.read()
+    try:
+        if data[:2] == b"\x1f\x8b":
+            data = gzip.decompress(data)
+        text = data.decode("utf-8")
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+        raise GraphParseError(f"{path}: not gzip or UTF-8 text ({exc})") from None
+    return parse_graph(text, fmt)

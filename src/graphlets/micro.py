@@ -143,6 +143,8 @@ def univariate_stats(
         [kernel.counts(int(e), p_e=p_e, rng=rng).x[pattern_id - 1] for e in ids],
         dtype=np.float64,
     )
+    if not len(vals):
+        raise ValueError("no edges to summarize")
     q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])
     return {
         "edges": int(len(vals)),

@@ -1,3 +1,5 @@
+import gzip
+import io
 import json
 import os
 import subprocess
@@ -235,3 +237,46 @@ def test_progress_goes_to_stderr(capsys, k4_file):
     assert code == 0
     assert "loading" in captured.err
     json.loads(captured.out)  # stdout still clean JSON
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["exact"], 0),
+    (["estimate", "--p", "0.5"], 0),
+    (["estimate", "--p", "0.5", "--weighting", "kcore"], 0),
+    (["micro", "--pattern", "4-cycle"], 1),
+    (["adaptive"], 0),
+    (["gfd"], 1),  # three vertices hold no 4-vertex pattern
+    (["max", "--pattern", "4-cycle"], 1),
+    (["oracle"], 0),
+    (["verify"], 0),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_edgeless_graph(tmp_path, capsys, argv, code):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("3 0\n")
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    doc = json.loads(out)
+    assert (doc["n"], doc["m"]) == (3, 0)
+    assert {k: v for k, v in doc["counts"].items() if v} == {
+        "2-node-independent": 3, "3-node-independent": 1}
+
+
+def test_reader_errors_exit_2(tmp_path, capsys, monkeypatch):
+    loop = tmp_path / "loop.txt"
+    loop.write_text("0 1\n1 1\n1 2\n")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("caf\xe9 bar\n".encode("latin-1"))
+    assert main(["exact", str(loop)]) == 2
+    assert "line 2: self-loop" in capsys.readouterr().err
+    assert main(["exact", str(latin)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"caf\xe9 bar\n")))
+    assert main(["exact", "-"]) == 2
+    capsys.readouterr()
+    packed = tmp_path / "packed.bin"  # gzip without the suffix
+    packed.write_bytes(gzip.compress(b"0 1\n1 2\n"))
+    code, doc = run_json(capsys, ["exact", str(packed)])
+    assert code == 0 and doc["m"] == 2

@@ -177,22 +177,22 @@ def test_load_graph_path_text_and_gzip(tmp_path):
         fh.write("0 1\n1 2\n2 3\n")
     assert load_graph(gz).m == 3
 
-    # literal text, not a path
-    assert load_graph("0 1\n1 2\n").m == 2
+    # literal text goes to parse_graph; load_graph only reads paths
+    assert parse_graph("0 1\n1 2\n").m == 2
     with pytest.raises(TypeError):
         load_graph(123)
 
 
 def test_load_graph_missing_file(tmp_path):
-    # a string without whitespace cannot be graph text: it names a path
+    # every string names a path
     missing = str(tmp_path / "missing.txt")
     with pytest.raises(FileNotFoundError, match="missing.txt"):
         load_graph(missing)
     with pytest.raises(FileNotFoundError):
         load_graph("missing.txt")
-    # text with whitespace is still parsed, and still reports parse errors
+    # text is parsed by parse_graph, which reports parse errors
     with pytest.raises(GraphParseError):
-        load_graph("0 1 2\n")
+        parse_graph("0 1 2\n")
 
 
 def test_random_roundtrip():

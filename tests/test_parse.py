@@ -1,0 +1,204 @@
+"""The bulk reader: detection rules, regression cases and round-trip properties."""
+
+import gzip
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from graphlets import GraphParseError, from_edges, load_graph, parse_graph, serialize
+from graphlets.graph import FORMATS
+
+MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+
+def parse_error(text, **kw) -> GraphParseError:
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(text, **kw)
+    return info.value
+
+
+# ---------------------------------------------------------------------------
+# the four ingestion bugs, each with its documented outcome
+
+
+def test_header_over_a_non_canonical_body_raises():
+    # once read as an edge list with the header as an edge (n = 5, m = 4)
+    text = "4 3\n1 0\n1 2\n2 3"
+    exc = parse_error(text)
+    assert exc.lineno == 2 and "--input-format edgelist" in str(exc)
+    assert parse_error(text, fmt="canonical").lineno == 2
+    g = parse_graph(text, fmt="edgelist")
+    assert (g.n, g.m) == (5, 4)
+    assert g.labels == [4, 3, 1, 0, 2]
+
+
+def test_edge_list_with_a_header_like_first_row():
+    # rule 2 reads a consistent "n m" first row as a header ...
+    g = parse_graph("3 2\n0 1\n1 2\n")
+    assert (g.n, g.m, g.labels) == (3, 2, None)
+    # ... and an inconsistent body raises instead of falling back
+    exc = parse_error("2 1\n5 7\n")
+    assert exc.lineno == 2 and "--input-format edgelist" in str(exc)
+    # the edge list reading is one flag away
+    g = parse_graph("3 2\n0 1\n1 2\n", fmt="edgelist")
+    assert (g.n, g.m) == (4, 3)
+    assert g.labels == [3, 2, 0, 1]
+    # a first row that no graph could have as its header is an edge
+    assert parse_graph("0 1\n1 2\n").m == 2  # n = 0 cannot hold an edge
+    assert parse_graph("5 9\n0 1\n").m == 2  # 9 rows declared, 1 found
+
+
+@pytest.mark.parametrize("text, fmt, lineno", [
+    ("0 1\n1 1\n1 2", "auto", 2),
+    ("0 1\n1 1\n1 2", "edgelist", 2),
+    ("a b\n\n# c\nb b\n", "auto", 4),
+    ("3 2\n0 1\n1 1\n", "auto", 3),
+    ("3 2\n0 1\n1 1\n", "canonical", 3),
+    (MTX + "% c\n3 3 2\n2 1\n2 2\n", "auto", 5),
+    (MTX + "3 3 1\n3 3\n", "mtx", 3),
+])
+def test_self_loops_raise_at_their_line(text, fmt, lineno):
+    exc = parse_error(text, fmt=fmt)
+    assert exc.lineno == lineno and "self-loop" in str(exc)
+
+
+def test_edgeless_graphs():
+    for text, fmt in [("3 0\n", "auto"), ("3 0\n", "canonical"),
+                      (MTX + "3 2 0\n", "auto"), ("3 3 0\n", "mtx")]:
+        g = parse_graph(MTX + text if fmt == "mtx" else text, fmt=fmt)
+        assert (g.n, g.m) == (3, 0)
+        assert g.indptr.tolist() == [0, 0, 0, 0]
+        assert g.edges.shape == (0, 2)
+    assert from_edges([], n=4) == parse_graph("4 0")
+    assert from_edges(np.empty((0, 2)), n=0).n == 0
+    # an edge list cannot name isolated vertices: no rows is no graph
+    for text in ["", "\n\n", "# only a comment\n"]:
+        assert parse_error(text).lineno is None
+
+
+# ---------------------------------------------------------------------------
+# detection rules and the reader's other outcomes
+
+
+def test_integer_labels_compare_as_integers():
+    g = parse_graph("7 8\n007 9\n9 8\n")
+    assert (g.n, g.m) == (3, 3)
+    assert g.labels == [7, 8, 9]
+    assert parse_error("7 9\n007 7\n", fmt="edgelist").lineno == 2  # a self-loop
+    # one non-integer label makes every label a string
+    g = parse_graph("7 8\n007 x\n")
+    assert g.labels == ["7", "8", "007", "x"]
+
+
+def test_canonical_rows_must_be_distinct_and_in_range():
+    assert "duplicate" in str(parse_error("3 2\n0 1\n0 1\n"))
+    assert parse_error("3 2\n0 1\n1 3\n").lineno == 3
+    assert parse_error("3 2\n0 1\n1 x\n").lineno == 3
+    assert parse_error("3 2\n0 1 2\n1 2\n").lineno == 2
+    # the earliest offending row is reported, whichever rule it breaks
+    assert parse_error("4 3\n0 1\n2 1\n0 9\n").lineno == 3
+    with pytest.raises(GraphParseError):
+        parse_graph("0 1\n1 2\n", fmt="canonical")  # no consistent header
+
+
+def test_formats_are_listed_once():
+    from graphlets.cli import UsageError, build_parser
+
+    assert FORMATS == ("auto", "edgelist", "canonical", "mtx")
+    for fmt in FORMATS:
+        assert build_parser().parse_args(["exact", "g", "--input-format", fmt])
+    with pytest.raises(UsageError):
+        build_parser().parse_args(["exact", "g", "--input-format", "dot"])
+    with pytest.raises(ValueError):
+        parse_graph("0 1\n", fmt="dot")
+
+
+def test_gzip_is_detected_by_content(tmp_path):
+    path = tmp_path / "graph.dat"  # no .gz suffix
+    path.write_bytes(gzip.compress(b"0 1\n1 2\n2 0\n"))
+    assert load_graph(path).m == 3
+    plain = tmp_path / "plain.gz"  # a suffix alone does not make gzip
+    plain.write_text("0 1\n")
+    assert load_graph(plain).m == 1
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("caf\xe9 bar\n".encode("latin-1"))
+    with pytest.raises(GraphParseError, match="UTF-8"):
+        load_graph(latin)
+    broken = tmp_path / "broken.gz"
+    broken.write_bytes(gzip.compress(b"0 1\n")[:12])
+    with pytest.raises(GraphParseError):
+        load_graph(broken)
+
+
+# ---------------------------------------------------------------------------
+# round-trip properties
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return from_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), n=n)
+
+
+@given(graphs())
+def test_serialize_parse_roundtrip(g):
+    back = parse_graph(serialize(g))
+    assert back == g and back.labels is None
+    assert np.array_equal(back.indptr, g.indptr)
+    assert np.array_equal(back.indices, g.indices)
+
+
+INTS = st.integers(-5, 10**9)  # sparse, some negative
+TEXT = st.text("abcxyz_.-", min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("labels", [INTS, TEXT, st.one_of(TEXT, INTS)],
+                         ids=["ints", "text", "mixed"])
+@given(data=st.data())
+def test_edge_list_matches_first_appearance_reference(labels, data):
+    rows = data.draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=40))
+    # with one text label every label is text; otherwise they are integers
+    ints = all(isinstance(x, int) for row in rows for x in row)
+    key = (lambda x: x) if ints else str
+    rows = [(a, b) for a, b in rows if key(a) != key(b)]
+    if not rows:
+        return
+    ids = {}  # the reference: dense ids by first appearance
+    for row in rows:
+        for x in row:
+            ids.setdefault(key(x), len(ids))
+    want = from_edges([(ids[key(a)], ids[key(b)]) for a, b in rows], n=len(ids))
+
+    def token(x):
+        if ints and x >= 0 and data.draw(st.booleans()):
+            return "0" + str(x)  # a leading zero names the same integer
+        return str(x)
+
+    lines = []
+    for a, b in rows:
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "  ", "# note", "% note"])))
+        sep = data.draw(st.sampled_from([" ", "\t", ",", " ,\t", "  "]))
+        lines.append(f"{token(a)}{sep}{token(b)}")
+    g = parse_graph("\n".join(lines) + "\n", fmt="edgelist")
+    assert g == want
+    assert g.labels == list(ids)
+
+
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_mtx_has_the_header_n(rows, cols, data):
+    n = max(rows, cols)
+    entry = st.tuples(st.integers(1, rows), st.integers(1, cols))
+    entries = data.draw(st.lists(entry.filter(lambda e: e[0] != e[1]), max_size=40))
+    valued = data.draw(st.booleans())
+    body = "".join(f"{i} {j}" + (" 1.5" if valued else "") + "\n" for i, j in entries)
+    g = parse_graph(f"{MTX}% a comment\n{rows} {cols} {len(entries)}\n{body}")
+    assert g.n == n
+    assert g == from_edges(np.array(entries, dtype=np.int64).reshape(-1, 2) - 1, n=n)
