@@ -31,7 +31,7 @@ from .estimate import (
     sample_and_estimate,
 )
 from .extremal import max_per_edge
-from .graph import FORMATS, Graph, GraphParseError, load_graph, parse_graph
+from .graph import FORMATS, Graph, GraphParseError, decode_graph_bytes, load_graph, parse_graph
 from .micro import micro_counts, univariate_stats
 from .oracle import OracleSizeError, brute_force_counts, brute_force_edge_counts
 
@@ -87,7 +87,8 @@ def _load(args) -> Graph:
     if args.progress:
         print(f"loading {args.graph}", file=sys.stderr)
     if args.graph == "-":
-        return parse_graph(sys.stdin.read(), args.input_format)
+        return parse_graph(decode_graph_bytes(sys.stdin.buffer.read(), "stdin"),
+                           args.input_format)
     return load_graph(args.graph, args.input_format)
 
 
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphParseError, UnicodeDecodeError) as exc:  # undecodable stdin too
+    except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

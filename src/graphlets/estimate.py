@@ -32,10 +32,11 @@ import numpy as np
 
 from . import patterns
 from .graph import Graph
-from .local import VertexMarker, unrestricted_counts
+from .local import VertexMarker, edge_tallies, isum, scan_edge
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
+CHUNK = 4096  # edges per vectorized reduction: bounds its working set
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,16 @@ class UnrestrictedAccumulator:
         )
 
 
-def scaled_contributions(c) -> tuple[int, ...]:
-    """12x the per-edge contribution of tally vector c to each estimator slot.
+def scaled_contributions(c) -> tuple:
+    """12x the contribution of tally vector c to each estimator slot.
 
-    These are the linear forms behind the estimator chain, cleared of
-    denominators; each slot is an exact integer and the three complement
-    slots (1, 2 constants; 6 and 17) carry the negated level sums so that
-    variance propagates through the complements too.
+    These linear forms, cleared of denominators, are the one statement of
+    the chain's coefficients: applied to one edge's tallies they give its
+    integral per-edge contributions, and applied to summed totals (divided by
+    12, plus constants) they are ``_chain``.  Slots 1 and 2 are constants and
+    get 0; the complement slots 6 and 17 carry the negated level sums, so
+    variance propagates through the complements too.  ``c`` may hold ints,
+    Fractions or arrays of Python ints.
     """
     z = [0] * 17
     z[2] = 4 * c[2]
@@ -185,17 +189,26 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _accumulate_serial(g: Graph, edge_ids, with_sq: bool) -> tuple[list, list | None]:
+    """Exact sums of c(e), and of z(e)^2 when ``with_sq``, over ``edge_ids``.
+
+    The per-edge loop only scans for (t, K_e, C_e); the tallies and their
+    scaled contributions are then evaluated a chunk of edges at a time.  The
+    squares go through Python ints: z reaches about 6 r^2, so z^2 overflows
+    int64 once r passes about 22,600.
+    """
     marker = VertexMarker(g.n)
     counts = [0] * 17
     sq = [0] * 17 if with_sq else None
-    for e in edge_ids:
-        c = unrestricted_counts(g, int(e), marker)
-        for i in range(17):
-            counts[i] += c[i]
+    for i in range(0, len(edge_ids), CHUNK):
+        ends = g.edges[edge_ids[i:i + CHUNK]].astype(np.int64)
+        du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
+        scans = [scan_edge(g, u, v, marker) for u, v in ends.tolist()]
+        t, k4, cyc = np.array(scans, dtype=np.int64).T
+        c = edge_tallies(t, k4, cyc, du, dv, g.n, g.m)
+        counts = [acc + isum(x) for acc, x in zip(counts, c)]
         if with_sq:
-            z = scaled_contributions(c)
-            for i in range(17):
-                sq[i] += z[i] * z[i]
+            z = scaled_contributions([x.astype(object) for x in c])
+            sq = [acc + int(np.sum(x * x)) for acc, x in zip(sq, z)]
     return counts, sq
 
 
@@ -291,31 +304,18 @@ class GraphletEstimate:
 
 
 def _chain(totals, n: int, m: int) -> list[Fraction]:
-    """The correction chain from weighted unrestricted totals to estimates.
+    """The estimator chain: the constant slots plus ``scaled_contributions``
+    of the weighted unrestricted totals, divided by 12.
 
-    Correction weights are 1/multiplicity of each tally against its primary
-    pattern (see docs/coefficients.md); overcounting patterns are subtracted
-    via the already-computed slots.  Everything is linear in the totals, so
-    the chain commutes with expectation.
+    The chain is linear in the totals (see docs/coefficients.md), so it is
+    the per-edge contribution map applied to their sums, and it commutes with
+    expectation.
     """
-    X = [Fraction(0)] * 17
-    X[0] = Fraction(m)
-    X[1] = Fraction(math.comb(n, 2) - m)
-    X[2] = totals[2] / 3
-    X[3] = totals[3] / 2
-    X[4] = totals[4]
-    X[5] = math.comb(n, 3) - X[2] - X[3] - X[4]
-    X[6] = totals[6] / 6
-    X[7] = totals[7] - totals[6]
-    X[8] = (totals[8] - 4 * X[7]) / 2
-    X[9] = totals[9] / 4
-    X[10] = (totals[10] - X[8]) / 3
-    X[11] = totals[11] - totals[9]
-    X[12] = (totals[13] - X[8]) / 3
-    X[13] = (totals[12] - 2 * X[11]) / 2
-    X[14] = (totals[15] - 6 * X[6] - 4 * X[7] - 2 * X[8] - 4 * X[9] - 2 * X[11]) / 2
-    X[15] = totals[14] - 2 * X[14]
-    X[16] = math.comb(n, 4) - sum(X[6:16])
+    X = [Fraction(z, SCALE) for z in scaled_contributions(totals)]
+    X[0] += m
+    X[1] += math.comb(n, 2) - m
+    X[5] += math.comb(n, 3)
+    X[16] += math.comb(n, 4)
     return X
 
 
@@ -382,7 +382,7 @@ def exact_counts(g: Graph, workers: int | None = 1) -> GraphletEstimate:
 
 
 def sample_and_estimate(
-    g: Graph, design: SampleDesign, workers: int | None = 1, with_variance: bool = True
+    g: Graph, design: SampleDesign, workers: int | None = 1
 ) -> GraphletEstimate:
     """Sample, accumulate, estimate: the one-call path used by the CLI.
 
@@ -392,7 +392,7 @@ def sample_and_estimate(
     ids, pi = _draw(g, design)
     pi = pi[ids]
     return estimate_counts(g, [
-        accumulate(g, ids[pi == q], workers=workers, with_sq=with_variance,
+        accumulate(g, ids[pi == q], workers=workers, with_sq=True,
                    inclusion=Fraction(q))
         for q in np.unique(pi)
     ])

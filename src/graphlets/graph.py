@@ -47,6 +47,8 @@ class GraphParseError(ValueError):
 
 @dataclass
 class Graph:
+    """CSR adjacency of a simple graph on n vertices, 0 <= n < 2**31 (int32 ids)."""
+
     n: int
     indptr: np.ndarray
     indices: np.ndarray
@@ -54,6 +56,9 @@ class Graph:
     labels: list | None = None  # dense id -> original label; None means identity
     _adj_bits: list[int] | None = field(default=None, repr=False, compare=False)
     _core: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_n(self.n)
 
     @property
     def m(self) -> int:
@@ -122,6 +127,11 @@ class Graph:
         )
 
 
+def _check_n(n: int) -> None:
+    if not 0 <= n < 2**31:
+        raise ValueError(f"n={n} does not fit the int32 vertex ids")
+
+
 def resolve_edge(g: Graph, edge) -> tuple[int, int]:
     """Normalize an edge given as an id or a (u, v) pair to its endpoints."""
     if hasattr(edge, "__len__"):
@@ -159,8 +169,7 @@ def from_edges(pairs, n: int | None = None, labels: list | None = None) -> Graph
         n = n_seen
     elif n < n_seen:
         raise ValueError(f"declared n={n} smaller than max vertex id {n_seen - 1}")
-    if n > np.iinfo(np.int32).max:
-        raise ValueError(f"n={n} does not fit the int32 vertex ids")
+    _check_n(n)  # before anything of length n is allocated
 
     # both orientations as keys src * n + dst: sorted, they are the CSR order,
     # and the src < dst half is the lexicographic edge table
@@ -337,16 +346,20 @@ def _parse_mtx(banner, tok, widths, lineno) -> Graph:
     return from_edges(ij - 1, n=n)
 
 
-def load_graph(path: str | os.PathLike, fmt: str = "auto") -> Graph:
-    """Read a graph file, gzipped (by its magic bytes) or not, and parse it.
-
-    Bytes that are not UTF-8 text raise GraphParseError."""
-    with open(os.fspath(path), "rb") as fh:
-        data = fh.read()
+def decode_graph_bytes(data: bytes, source) -> str:
+    """Graph file bytes as text: gunzipped when they start with the gzip magic
+    bytes, then strict UTF-8.  Anything else raises GraphParseError naming
+    ``source``."""
     try:
         if data[:2] == b"\x1f\x8b":
             data = gzip.decompress(data)
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
-        raise GraphParseError(f"{path}: not gzip or UTF-8 text ({exc})") from None
+        raise GraphParseError(f"{source}: not gzip or UTF-8 text ({exc})") from None
+
+
+def load_graph(path: str | os.PathLike, fmt: str = "auto") -> Graph:
+    """Read a graph file, gzipped (by its magic bytes) or not, and parse it."""
+    with open(os.fspath(path), "rb") as fh:
+        text = decode_graph_bytes(fh.read(), path)
     return parse_graph(text, fmt)

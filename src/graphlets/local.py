@@ -7,8 +7,10 @@ For an edge e = (u, v) the remaining vertices split into four zones:
 * the far zone of size ``r = n - |T| - |S_u| - |S_v| - 2`` (adjacent to
   neither endpoint).
 
-From the zone sizes, one clique scan over T, and one cycle scan over S_u,
-the fourteen unrestricted per-edge tallies c3..c16 follow in closed form.
+``scan_edge`` finds t = |T|, the 4-cliques K_e (one scan over T) and the
+4-cycles C_e (one scan over the smaller exclusive zone).  ``edge_tallies``
+turns those and the endpoint degrees into the 17 unrestricted tallies; it is
+the one statement of those relations, for one edge or for arrays of edges.
 """
 
 from __future__ import annotations
@@ -114,41 +116,48 @@ def cycle_count(g: Graph, local: EdgeLocal, marker: VertexMarker) -> int:
     return int(np.count_nonzero(hits))
 
 
-def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tuple[int, ...]:
-    """The 17-slot unrestricted tally vector c(e) for one edge.
+def scan_edge(g: Graph, u: int, v: int, marker: VertexMarker) -> tuple[int, int, int]:
+    """(t, K_e, C_e) of edge (u, v): its common neighbors, 4-cliques and 4-cycles."""
+    local = classify_edge(g, u, v, marker)
+    return len(local.T), clique_count(g, local, marker), cycle_count(g, local, marker)
 
-    Slots (0-based by pattern id - 1):
-      c1 = 1 and c2 = 0 (bookkeeping); c3 = |T|; c4 = |S_u| + |S_v|;
-      c5 = r; c7 = 4-cliques at e; c8 = C(|T|, 2); c9 = |T| (|S_u| + |S_v|);
-      c10 = 4-cycles at e; c11 = C(|S_u|, 2) + C(|S_v|, 2); c12 = |S_u||S_v|;
-      c13 = (|S_u| + |S_v|) r; c14 = |T| r; c15 = C(r, 2);
-      c16 = edges sharing no endpoint with e.  c6 and c17 stay zero: those
-      patterns are complement-filled downstream, not tallied.
+
+def edge_tallies(t, k4, cyc, du, dv, n, m) -> tuple:
+    """The 17-slot unrestricted tally vector c(e), in plain arithmetic.
+
+    ``t``, ``du`` and ``dv`` are the common-neighbor count and the endpoint
+    degrees, so |S_u| = du - 1 - t, |S_v| = dv - 1 - t and r = n - du - dv + t;
+    ``k4`` and ``cyc`` are the 4-cliques and 4-cycles at e.  Slots (0-based by
+    pattern id - 1):
+      c1 = 1 and c2 = 0 (bookkeeping); c3 = t; c4 = |S_u| + |S_v|; c5 = r;
+      c7 = k4; c8 = C(t, 2); c9 = t (|S_u| + |S_v|); c10 = cyc;
+      c11 = C(|S_u|, 2) + C(|S_v|, 2); c12 = |S_u||S_v|; c13 = (|S_u| + |S_v|) r;
+      c14 = t r; c15 = C(r, 2); c16 = edges sharing no endpoint with e.
+      c6 and c17 stay zero: those patterns are complement-filled downstream.
+
+    One body serves Python ints (one edge, exact at any scale) and int64
+    arrays (many edges, exact for n < 2**31, the bound of ``Graph``).
+    """
+    zero = t * 0  # 0, or an array of zeros shaped like t
+    su, sv = du - 1 - t, dv - 1 - t
+    s, r = su + sv, n - du - dv + t
+    return (zero + 1, zero, t, s, r, zero, k4, t * (t - 1) // 2, t * s, cyc,
+            su * (su - 1) // 2 + sv * (sv - 1) // 2, su * sv, s * r, t * r,
+            r * (r - 1) // 2, m - du - dv + 1, zero)
+
+
+def isum(x) -> int:
+    """Exact sum of an int64 array (or one int): its 32-bit halves are summed apart."""
+    return (int(np.sum(x >> 32)) << 32) + int(np.sum(x & 0xFFFFFFFF))
+
+
+def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tuple[int, ...]:
+    """The 17-slot unrestricted tally vector c(e) of one edge (``edge_tallies``).
 
     All values are plain Python ints (exact at any scale).
     """
     if marker is None:
         marker = VertexMarker(g.n)
     u, v = resolve_edge(g, e)
-    local = classify_edge(g, u, v, marker)
-    t, su, sv, r = len(local.T), len(local.S_u), len(local.S_v), local.far
-    k4 = clique_count(g, local, marker)
-    c4cyc = cycle_count(g, local, marker)
-    du, dv = g.degree(u), g.degree(v)
-
-    c = [0] * 17
-    c[0] = 1
-    c[2] = t
-    c[3] = su + sv
-    c[4] = r
-    c[6] = k4
-    c[7] = t * (t - 1) // 2
-    c[8] = t * (su + sv)
-    c[9] = c4cyc
-    c[10] = su * (su - 1) // 2 + sv * (sv - 1) // 2
-    c[11] = su * sv
-    c[12] = (su + sv) * r
-    c[13] = t * r
-    c[14] = r * (r - 1) // 2
-    c[15] = g.m - du - dv + 1
-    return tuple(c)
+    t, k4, cyc = scan_edge(g, u, v, marker)
+    return edge_tallies(t, k4, cyc, g.degree(u), g.degree(v), g.n, g.m)

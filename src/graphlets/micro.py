@@ -12,8 +12,10 @@ neighbor lists of T, S_u and S_v into one flat array, and tallies each
 (source zone, target code) pair with one ``np.bincount``.  The adjacent
 zone-pair tallies a_tt, a_ts, a_tf, a_uu, a_vv, a_uv and a_sf are read off
 that 4 x 5 matrix: a pair inside one zone is seen from both sides and
-halved, a pair across zones is read from one fixed side.  At p_e = 1 every
-step is integer arithmetic, so the counts are exact at any n.
+halved, a pair across zones is read from one fixed side.  The slots are the
+unrestricted tallies of ``local.edge_tallies`` with each adjacent pair moved
+to the pattern it completes.  At p_e = 1 every step is integer arithmetic,
+so the counts are exact at any n.
 
 Neighbor-sampled counts (p_e < 1) keep ceil(d * p_e) random entries of each
 gathered vertex's d neighbors and weight each kept entry by d / s, so every
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, VertexMarker, _flat_neighbors, classify_edge
+from .local import _SU, _SV, _T, VertexMarker, _flat_neighbors, classify_edge, edge_tallies
 
 # code stamped on u and v after classify_edge, so that they do not read as
 # far; it must stay below VertexMarker.STRIDE
@@ -103,26 +105,16 @@ class MicroKernel:
         a_sf = M[_SU][0] + M[_SV][0]
 
         a_ss = a_uu + a_vv
-        e_in = a_tt + a_ts + a_ss + a_uv
-        e_cross = a_tf + a_sf
-        a_ff = g.m - (g.degree(u) + g.degree(v) - 1) - e_in - e_cross
-
-        s = su + sv
-        x = [0 if exact else 0.0] * 17
-        x[0] = 1
-        x[2] = t
-        x[3] = s
-        x[4] = r
-        x[6] = a_tt
-        x[7] = t * (t - 1) // 2 - a_tt + a_ts
-        x[8] = (t * s - a_ts) + a_tf + a_ss
-        x[9] = a_uv
-        x[10] = su * (su - 1) // 2 + sv * (sv - 1) // 2 - a_ss
-        x[11] = (su * sv - a_uv) + a_sf
-        x[12] = t * r - a_tf
-        x[13] = s * r - a_sf
-        x[14] = a_ff
-        x[15] = r * (r - 1) // 2 - a_ff
+        x = list(edge_tallies(t, a_tt, a_uv, g.degree(u), g.degree(v), g.n, g.m))
+        a_ff = x[15] - (a_tt + a_ts + a_ss + a_uv) - (a_tf + a_sf)
+        x[7] = x[7] - a_tt + a_ts
+        x[8] = x[8] - a_ts + a_tf + a_ss
+        x[10] = x[10] - a_ss
+        x[11] = x[11] - a_uv + a_sf
+        x[12], x[13] = x[13] - a_tf, x[12] - a_sf
+        x[14], x[15] = a_ff, x[14] - a_ff
+        if not exact:
+            x[1] = x[5] = x[16] = 0.0
         return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(t, su, sv, r))
 
 

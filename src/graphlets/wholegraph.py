@@ -1,7 +1,7 @@
 """Exact raw totals from one degree-ordered pass over the whole graph.
 
 ``edge_totals(g)`` returns the seventeen sums over every edge of the
-unrestricted tallies c(e) of ``local.unrestricted_counts``, with no per-edge
+unrestricted tallies c(e) of ``local.edge_tallies``, with no per-edge
 loop.  Vertices are ranked by (degree, id) and each edge points from its
 lower- to its higher-ranked end (Chiba and Nishizeki 1985):
 
@@ -14,10 +14,10 @@ lower- to its higher-ranked end (Chiba and Nishizeki 1985):
   one to codeg(x, y), and the cycles number sum C(codeg, 2) (ESCAPE, Pinar,
   Seshadhri and Vishal 2017).
 
-Every other total is a closed form in t(e), the endpoint degrees, n and m
-(docs/coefficients.md).  Work runs in chunks of at most ``BUDGET`` gathered
-neighbor entries, and every sum is reduced exactly into a Python int, so the
-totals are exact at any n.
+Every other total is the sum over edges of ``local.edge_tallies`` of t(e),
+the endpoint degrees, n and m.  Work runs in chunks of at most ``BUDGET``
+gathered neighbor entries or edges, and every sum is reduced exactly into a
+Python int, so the totals are exact at any n a ``Graph`` holds.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
+from .local import edge_tallies, isum
 
 BUDGET = 1 << 17  # gathered entries per chunk: bounds the pass's working set
 
@@ -48,11 +49,6 @@ def _expand(starts: np.ndarray, lens: np.ndarray):
     owner = np.repeat(np.arange(len(lens)), lens)
     heads = np.cumsum(lens) - lens
     return owner, np.arange(len(owner)) + np.repeat(starts - heads, lens)
-
-
-def _isum(x: np.ndarray) -> int:
-    """Exact sum of an int64 array: its 32-bit halves are summed apart."""
-    return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
 
 
 def edge_totals(g: Graph) -> list[int]:
@@ -118,33 +114,15 @@ def edge_totals(g: Graph) -> list[int]:
         k, codeg = k[heads], np.add.reduceat(codeg, heads)
         held = k // N == top[c1 - 1] if c1 < m else np.zeros(len(k), dtype=bool)
         carry_k, carry_c, codeg = k[held], codeg[held], codeg[~held]
-        c4 += _isum(codeg * (codeg - 1) // 2)
+        c4 += isum(codeg * (codeg - 1) // 2)
 
-    # closed forms: s = |S_u| + |S_v|, w = d_u + d_v - t, so that r = n - w
-    sums = [0] * 10
-    for i in range(0, m, BUDGET):
-        te = t[i:i + BUDGET]
-        du, dv = deg[lo[i:i + BUDGET]], deg[hi[i:i + BUDGET]]
-        su, sv = du - 1 - te, dv - 1 - te
-        s, w = su + sv, du + dv - te
-        parts = (te, s, w, te * (te - 1) // 2, te * s,
-                 su * (su - 1) // 2 + sv * (sv - 1) // 2, su * sv, s * w, te * w, w * w)
-        sums = [acc + _isum(x) for acc, x in zip(sums, parts)]
-    St, Ss, Sw, Stt, Sts, Sss, Suv, Ssw, Stw, Sww = sums
-
+    # every other total sums edge_tallies over the edges; K and Q fill in the
+    # two tallies that t(e) and the degrees do not determine
     c = [0] * 17
-    c[0] = m
-    c[2] = St
-    c[3] = Ss
-    c[4] = n * m - Sw
+    for i in range(0, m, BUDGET):
+        cols = edge_tallies(t[i:i + BUDGET], 0, 0, deg[lo[i:i + BUDGET]],
+                            deg[hi[i:i + BUDGET]], n, m)
+        c = [acc + isum(x) for acc, x in zip(c, cols)]
     c[6] = 6 * k4
-    c[7] = Stt
-    c[8] = Sts
-    c[9] = 4 * (c4 - (Stt - 6 * k4) - 3 * k4)  # induced: minus diamonds and K4s
-    c[10] = Sss
-    c[11] = Suv
-    c[12] = n * Ss - Ssw
-    c[13] = n * St - Stw
-    c[14] = (m * n * (n - 1) - (2 * n - 1) * Sw + Sww) // 2
-    c[15] = m * (m + 1) - (Ss + 2 * m + 2 * St)
+    c[9] = 4 * (c4 - (c[7] - 6 * k4) - 3 * k4)  # induced: minus diamonds and K4s
     return c

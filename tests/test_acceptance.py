@@ -99,8 +99,7 @@ def test_criterion_03_estimator_is_unbiased(cal_graph):
     g = cal_graph
     truth = exact_counts(g).X
     runs = np.array(
-        [sample_and_estimate(g, SampleDesign(p=0.5, seed=s),
-                             with_variance=False).X
+        [sample_and_estimate(g, SampleDesign(p=0.5, seed=s)).X
          for s in range(1000)],
         dtype=float,
     )
@@ -151,8 +150,7 @@ def test_criterion_05_gfd_closeness():
     reference = gfd(exact_counts(g).X, "combined")
     dists = []
     for s in range(10):
-        est = sample_and_estimate(g, SampleDesign(p=0.10, seed=s),
-                                  with_variance=False)
+        est = sample_and_estimate(g, SampleDesign(p=0.10, seed=s))
         dists.append(ks_statistic(gfd(est.X, "combined"), reference))
     mean_ks = float(np.mean(dists))
     assert mean_ks <= 0.01, dists
@@ -273,15 +271,12 @@ def test_criterion_09_complement_identities(cal_graph):
 
     g = cal_graph
     for s in range(200):
-        check(sample_and_estimate(g, SampleDesign(p=0.5, seed=s),
-                                  with_variance=False), g.n)
-        check(sample_and_estimate(g, SampleDesign(p=0.3, seed=s),
-                                  with_variance=False), g.n)
+        check(sample_and_estimate(g, SampleDesign(p=0.5, seed=s)), g.n)
+        check(sample_and_estimate(g, SampleDesign(p=0.3, seed=s)), g.n)
 
     big = gen_er(2000, 10 / 1999, 9)
     for s in range(3):
-        check(sample_and_estimate(big, SampleDesign(p=0.10, seed=s),
-                                  with_variance=False), big.n)
+        check(sample_and_estimate(big, SampleDesign(p=0.10, seed=s)), big.n)
 
     g6 = gen_er(1000, 0.01, 11)
     res = adaptive_estimate(g6, AdaptiveConfig(beta=0.01, t_max=200, seed=3))

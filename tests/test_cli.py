@@ -190,9 +190,26 @@ def test_estimate_requires_design(k4_file):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO("0 1\n1 2\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0 1\n1 2\n")))
     code, doc = run_json(capsys, ["exact", "-"])
     assert code == 0 and doc["m"] == 2
+
+
+def test_stdin_bytes_decoded_like_a_file(capsys, monkeypatch):
+    # a lenient text layer (as under the C locale) must not turn bad bytes
+    # into a surrogate-escaped label: stdin is decoded like a file
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"caf\xe9 1\n"), errors="surrogateescape"))
+    assert main(["exact", "-"]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_gzipped_stdin(capsys, monkeypatch):
+    packed = gzip.compress(b"0 1\n1 2\n2 0\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(packed)))
+    code, doc = run_json(capsys, ["exact", "-"])
+    assert code == 0 and doc["m"] == 3
+    assert doc["counts"][graphlets.NAMES[3]] == 1
 
 
 def declared_scripts(pyproject):

@@ -249,7 +249,7 @@ def test_unbiasedness_small():
     g = gen_er(22, 0.3, 7)
     truth = brute_force_counts(g)
     runs = np.array(
-        [sample_and_estimate(g, SampleDesign(p=0.5, seed=s), with_variance=False).X
+        [sample_and_estimate(g, SampleDesign(p=0.5, seed=s)).X
          for s in range(300)],
         dtype=float,
     )
@@ -289,8 +289,7 @@ def test_fixed_size_estimation():
     est = sample_and_estimate(g, SampleDesign(size=g.m, seed=0))
     assert est.X == truth  # full draw is exact
     runs = np.array(
-        [sample_and_estimate(g, SampleDesign(size=g.m // 2, seed=s),
-                             with_variance=False).X
+        [sample_and_estimate(g, SampleDesign(size=g.m // 2, seed=s)).X
          for s in range(300)],
         dtype=float,
     )

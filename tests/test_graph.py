@@ -14,6 +14,18 @@ from graphlets import (
 )
 
 
+def test_graph_rejects_n_past_int32():
+    # the neighbor ids are int32, so n must stay below 2**31
+    kw = dict(indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32),
+              edges=np.array([[0, 1]]))
+    assert Graph(n=2**31 - 1, **kw).n == 2**31 - 1
+    for n in (2**31, -1):
+        with pytest.raises(ValueError):
+            Graph(n=n, **kw)
+    with pytest.raises(ValueError):
+        from_edges([(0, 1)], n=2**31)
+
+
 def test_from_edges_basic():
     g = from_edges([(1, 0), (0, 1), (2, 2), (1, 2)])
     assert g.n == 3 and g.m == 2

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gen import gen_er
 from graphlets import VertexMarker, classify_edge, from_edges, unrestricted_counts
-from graphlets.local import clique_count, cycle_count
+from graphlets.local import clique_count, cycle_count, edge_tallies, isum
 from graphlets.oracle import brute_force_edge_counts
 
 
@@ -114,3 +116,29 @@ def test_marker_stride_overflow_guard():
     for _ in range(1000):
         marker.fresh()
     assert marker.gen == 1000 * 8
+
+
+@st.composite
+def tally_rows(draw):
+    """n, m and rows (t, k4, cyc, d_u, d_v) that some edge of such a graph has."""
+    n = draw(st.integers(2, 2**31 - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        du, dv = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        t = draw(st.integers(max(0, du + dv - n), min(du, dv) - 1))
+        k4 = draw(st.integers(0, t * (t - 1) // 2))
+        cyc = draw(st.integers(0, (du - 1 - t) * (dv - 1 - t)))
+        rows.append((t, k4, cyc, du, dv))
+    m = draw(st.integers(max(du + dv - 1 for *_, du, dv in rows), n * (n - 1) // 2))
+    return n, m, rows
+
+
+@given(tally_rows())
+def test_edge_tallies_on_arrays_match_ints(case):
+    # the int64 evaluation is exact for every n a Graph holds
+    n, m, rows = case
+    cols = edge_tallies(*np.array(rows, dtype=np.int64).T, n, m)
+    want = [edge_tallies(*row, n, m) for row in rows]
+    assert all(type(x) is int for c in want for x in c)
+    assert [[int(col[i]) for col in cols] for i in range(len(rows))] == [list(c) for c in want]
+    assert [isum(col) for col in cols] == [sum(col) for col in zip(*want)]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,8 +8,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gen import gen_er, gen_power_law, named_graphs, planted_clique
-from graphlets import accumulate, brute_force_counts, exact_counts, from_edges
-from graphlets import estimate, wholegraph
+from graphlets import (
+    Graph,
+    accumulate,
+    brute_force_counts,
+    exact_counts,
+    from_edges,
+    scaled_contributions,
+    unrestricted_counts,
+)
+from graphlets import estimate, local, wholegraph
 
 
 def suite():
@@ -48,7 +57,7 @@ def test_exact_counts_runs_no_edge_kernel(monkeypatch, named):
         raise AssertionError("exact_counts must not run the per-edge kernel")
 
     monkeypatch.setattr(estimate, "accumulate", refuse)
-    monkeypatch.setattr(estimate, "unrestricted_counts", refuse)
+    monkeypatch.setattr(estimate, "scan_edge", refuse)
     assert exact_counts(named["K5"]).X == brute_force_counts(named["K5"])
     with pytest.raises(ValueError):
         exact_counts(named["K5"], workers=0)
@@ -77,5 +86,42 @@ def test_exact_matches_oracle(g):
 def test_exact_sum_past_int64():
     # three entries of 2**62 overflow an int64 sum; the halves do not
     x = np.full(3, 2**62, dtype=np.int64)
-    assert wholegraph._isum(x) == 3 * 2**62
-    assert wholegraph._isum(-x) == -3 * 2**62
+    assert local.isum(x) == 3 * 2**62
+    assert local.isum(-x) == -3 * 2**62
+
+
+def single_edge(n):
+    """Edge (0, 1) among n vertices; nothing of length n is allocated."""
+    return Graph(n=n, indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32),
+                 edges=np.array([[0, 1]]))
+
+
+def test_exact_at_the_largest_n():
+    n = 2**31 - 1
+    X = exact_counts(single_edge(n)).X
+    assert all(type(x) is int for x in X)
+    r = n - 2
+    want = [0] * 17
+    want[0], want[1] = 1, math.comb(n, 2) - 1
+    want[4], want[5] = r, math.comb(n, 3) - r
+    want[15], want[16] = math.comb(r, 2), math.comb(n, 4) - math.comb(r, 2)
+    assert X == want
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_small_chunks_reduce_alike(name, monkeypatch):
+    g = SUITE[name]
+    ids = np.arange(g.m)
+    ref = accumulate(g, ids, with_sq=True, inclusion=Fraction(1, 2))
+    monkeypatch.setattr(estimate, "CHUNK", 5)
+    alt = accumulate(g, ids, with_sq=True, inclusion=Fraction(1, 2))
+    assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
+
+
+def test_squares_past_int64():
+    # z of the far-pairs slot is about 6 r**2 = 2.4e17 here: its square is far
+    # past int64 and float precision, so the squares must stay Python ints
+    g = single_edge(2 * 10**8)
+    acc = accumulate(g, [0], with_sq=True, inclusion=Fraction(1, 2))
+    assert acc.sq == [z * z for z in scaled_contributions(unrestricted_counts(g, 0))]
+    assert max(acc.sq) > 2**113
