@@ -3,7 +3,9 @@
 Subcommands: exact, estimate, micro, adaptive, gfd, max, oracle, verify.
 Output is JSON by default (sorted keys, counts keyed by pattern name) or
 flat TSV with --format tsv.  The "timing" key is wall-clock and therefore
-the one field excluded when comparing runs byte for byte.
+the one field excluded when comparing runs byte for byte.  Edges given with
+--edge and printed endpoints use the input file's vertex labels: edge-list
+labels, or dense 0-based ids for canonical and MatrixMarket input.
 
 Exit codes: 0 success, 1 usage error, 2 graph parse error, 3 resource
 problem (missing file, graph too large for the oracle), 4 verification
@@ -38,7 +40,7 @@ from .oracle import OracleSizeError, brute_force_counts, brute_force_edge_counts
 EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_RESOURCE, EXIT_VERIFY = 0, 1, 2, 3, 4
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -78,27 +80,73 @@ def _add_design(sub, required=False):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _design_from(args) -> SampleDesign:
+def _design_from(args) -> SampleDesign | None:
+    """The sampling design of --p or --size; None when neither is set."""
+    if args.p is None and args.size is None:
+        return None
     return SampleDesign(p=args.p, size=args.size, weighting=args.weighting,
                         seed=args.seed)
 
 
 def _load(args) -> Graph:
-    if args.progress:
-        print(f"loading {args.graph}", file=sys.stderr)
     if args.graph == "-":
         return parse_graph(decode_graph_bytes(sys.stdin.buffer.read(), "stdin"),
                            args.input_format)
     return load_graph(args.graph, args.input_format)
 
 
-def _config_echo(args) -> dict:
-    skip = {"func", "output", "progress"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _read_edge(g: Graph, text: str) -> tuple[int, int]:
+    """Dense ids of the edge ``U,V`` named in the file's own labels.
+
+    Graphs without labels (canonical, MatrixMarket) are named by dense ids.
+    Integer labels compare as integers, as the parser compares them.
+    """
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise UsageError(f"--edge expects 'U,V', got {text!r}")
+    if g.labels is None or isinstance(g.labels[0], int):
+        try:
+            parts = [int(x) for x in parts]
+        except ValueError:
+            raise UsageError(f"--edge expects integers, got {text!r}") from None
+    try:
+        u, v = parts if g.labels is None else map(g.labels.index, parts)
+        g.edge_id(u, v)
+    except (ValueError, KeyError):
+        raise UsageError(f"{text} is not an edge of the graph") from None
+    return u, v
 
 
-def _emit(args, payload: dict, started: float) -> int:
+def _labelled(g: Graph, ids) -> list:
+    """Endpoints as the input file names them: labels, or dense ids."""
+    return [int(i) if g.labels is None else g.labels[i] for i in ids]
+
+
+def _stage(args, name: str, since: float) -> float:
+    """Report the stage that ran since ``since`` under --progress; return now."""
+    now = time.perf_counter()
+    if args.progress:
+        print(f"{name} {now - since:.3f}s", file=sys.stderr)
+    return now
+
+
+def _run(args) -> int:
+    """Load the graph, run the subcommand on it and write its payload."""
+    started = time.perf_counter()
+    g = _load(args)
+    mark = _stage(args, f"load n={g.n} m={g.m}", started)
+    payload = args.func(g, args)
+    mark = _stage(args, args.command, mark)
+    skip = ("func", "output", "progress")
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    payload.update(n=g.n, m=g.m, config=config)
     payload["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    _emit(args, payload)
+    _stage(args, "write", mark)
+    return EXIT_VERIFY if payload.get("match") is False else EXIT_OK
+
+
+def _emit(args, payload: dict) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -108,7 +156,6 @@ def _emit(args, payload: dict, started: float) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _to_tsv(payload: dict, prefix: str = "") -> str:
@@ -127,158 +174,96 @@ def _to_tsv(payload: dict, prefix: str = "") -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (graph, args) to its payload; _run adds the rest
 
 
-def _cmd_exact(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    est = exact_counts(g, workers=args.workers)
+def _cmd_exact(g, args) -> dict:
+    return {"counts": _named(exact_counts(g, workers=args.workers).X)}
+
+
+def _cmd_estimate(g, args) -> dict:
+    est = sample_and_estimate(g, _design_from(args), workers=args.workers)
     payload = {
-        "n": g.n, "m": g.m,
-        "counts": _named(est.X),
-        "config": _config_echo(args),
-    }
-    return _emit(args, payload, started)
-
-
-def _cmd_estimate(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    design = _design_from(args)
-    est = sample_and_estimate(g, design, workers=args.workers)
-    payload = {
-        "n": g.n, "m": g.m,
         "counts": _named(est.X),
         "sampled_edges": est.k_used,
         "inclusion": est.p,
         "clamped": [patterns.NAMES[i + 1] for i, c in enumerate(est.clamped) if c],
-        "config": _config_echo(args),
     }
     if not args.no_ci and est.variance is not None:
         lb, ub = confidence_bounds(est, alpha=args.alpha)
-        payload["lb"] = _named(lb)
-        payload["ub"] = _named(ub)
-        payload["alpha"] = args.alpha
-    return _emit(args, payload, started)
+        payload.update(lb=_named(lb), ub=_named(ub), alpha=args.alpha)
+    return payload
 
 
-def _parse_edge(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--edge expects 'U,V', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--edge expects integers, got {text!r}") from None
-
-
-def _cmd_micro(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    if args.edge is None and args.pattern is None:
-        raise UsageError("micro needs --edge U,V or --pattern for the summary")
-    payload: dict = {"n": g.n, "m": g.m, "config": _config_echo(args)}
+def _cmd_micro(g, args) -> dict:
     if args.edge is not None:
-        u, v = _parse_edge(args.edge)
-        try:
-            res = micro_counts(g, (u, v), p_e=args.p_edge, seed=args.seed)
-        except KeyError:
-            raise UsageError(f"({u}, {v}) is not an edge of the graph") from None
-        payload["edge"] = [res.u, res.v]
-        payload["counts"] = _named(res.x)
-        payload["zones"] = dict(zip(("common", "only_u", "only_v", "far"), res.zones))
-    else:
-        pid = patterns.resolve_pattern(args.pattern)
-        stats = univariate_stats(g, pid, p_e=args.p_edge, seed=args.seed)
-        stats.pop("values")
-        payload["pattern"] = patterns.NAMES[pid]
-        payload["stats"] = stats
-    return _emit(args, payload, started)
+        res = micro_counts(g, _read_edge(g, args.edge), p_e=args.p_edge, seed=args.seed)
+        return {
+            "edge": _labelled(g, (res.u, res.v)),
+            "counts": _named(res.x),
+            "zones": dict(zip(("common", "only_u", "only_v", "far"), res.zones)),
+        }
+    if args.pattern is None:
+        raise UsageError("micro needs --edge U,V or --pattern for the summary")
+    pid = patterns.resolve_pattern(args.pattern)
+    stats = univariate_stats(g, pid, p_e=args.p_edge, seed=args.seed)
+    stats.pop("values")
+    return {"pattern": patterns.NAMES[pid], "stats": stats}
 
 
-def _cmd_adaptive(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
+def _cmd_adaptive(g, args) -> dict:
     cfg = AdaptiveConfig(beta=args.beta, t_max=args.t_max, seed=args.seed)
     res = adaptive_estimate(g, cfg, workers=args.workers)
     payload = {
-        "n": g.n, "m": g.m,
         "counts": _named(res.estimate.X),
         "converged": res.converged,
         "reason": res.reason,
         "iterations": res.iterations,
         "sampled_edges": res.sampled_edges,
         "delta": res.delta,
-        "config": _config_echo(args),
     }
     if args.trace:
         payload["trace"] = res.trace
-    return _emit(args, payload, started)
+    return payload
 
 
-def _cmd_gfd(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    if args.p is not None or args.size is not None:
-        est = sample_and_estimate(g, _design_from(args), workers=args.workers)
-        X = est.X
-        source = "estimated"
+def _cmd_gfd(g, args) -> dict:
+    design = _design_from(args)
+    if design is None:
+        est = exact_counts(g, workers=args.workers)
     else:
-        X = exact_counts(g, workers=args.workers).X
-        source = "exact"
-    dist = gfd(X, args.variant)
+        est = sample_and_estimate(g, design, workers=args.workers)
+    dist = gfd(est.X, args.variant)
     ids = GFD_VARIANTS[args.variant]
-    payload = {
-        "n": g.n, "m": g.m,
+    return {
         "variant": args.variant,
-        "source": source,
+        "source": "exact" if design is None else "estimated",
         "gfd": {patterns.NAMES[pid]: dist[i] for i, pid in enumerate(ids)},
-        "config": _config_echo(args),
     }
-    return _emit(args, payload, started)
 
 
-def _cmd_max(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    design = None
-    if args.p is not None or args.size is not None:
-        design = _design_from(args)
-    res = max_per_edge(g, args.pattern, design=design, workers=args.workers)
-    payload = {
-        "n": g.n, "m": g.m,
+def _cmd_max(g, args) -> dict:
+    res = max_per_edge(g, args.pattern, design=_design_from(args), workers=args.workers)
+    return {
         "pattern": patterns.NAMES[res.pattern_id],
         "max": res.value,
         "edge_id": res.edge_id,
-        "endpoints": list(res.endpoints),
+        "endpoints": _labelled(g, res.endpoints),
         "scanned": res.scanned,
         "exact": res.exact,
-        "config": _config_echo(args),
     }
-    return _emit(args, payload, started)
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    g = _load(args)
-    if args.edge is not None:
-        u, v = _parse_edge(args.edge)
-        counts = brute_force_edge_counts(g, (u, v))
-        payload = {"n": g.n, "m": g.m, "edge": [u, v],
-                   "counts": _named(counts), "config": _config_echo(args)}
-    else:
-        counts = brute_force_counts(g, max_n=args.max_n)
-        payload = {"n": g.n, "m": g.m, "counts": _named(counts),
-                   "config": _config_echo(args)}
-    return _emit(args, payload, started)
+def _cmd_oracle(g, args) -> dict:
+    if args.edge is None:
+        return {"counts": _named(brute_force_counts(g, max_n=args.max_n))}
+    edge = _read_edge(g, args.edge)
+    return {"edge": _labelled(g, edge), "counts": _named(brute_force_edge_counts(g, edge))}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(g, args) -> dict:
     # three routes to the same integers: the oracle, the whole-graph pass and
     # the edge kernel summed over every edge
-    started = time.perf_counter()
-    g = _load(args)
     truth = brute_force_counts(g, max_n=args.max_n)
     est = exact_counts(g, workers=args.workers)
     kernel = estimate_counts(g, accumulate(g, range(g.m), workers=args.workers,
@@ -287,15 +272,7 @@ def _cmd_verify(args) -> int:
     for i, (want, got, alt) in enumerate(zip(truth, est.X, kernel)):
         if got != want or alt != got:
             bad[patterns.NAMES[i + 1]] = {"expected": want, "got": got, "edge_kernel": alt}
-    payload = {
-        "n": g.n, "m": g.m,
-        "match": not bad,
-        "mismatches": bad,
-        "counts": _named(est.X),
-        "config": _config_echo(args),
-    }
-    code = _emit(args, payload, started)
-    return EXIT_VERIFY if bad else code
+    return {"match": not bad, "mismatches": bad, "counts": _named(est.X)}
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +346,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _run(build_parser().parse_args(argv))
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -389,7 +357,7 @@ def main(argv=None) -> int:
     except (OracleSizeError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -299,9 +299,6 @@ class GraphletEstimate:
     m: int
     clamped: list = field(default_factory=lambda: [False] * 17)
 
-    def as_dict(self) -> dict:
-        return {patterns.NAMES[i + 1]: self.X[i] for i in range(17)}
-
 
 def _chain(totals, n: int, m: int) -> list[Fraction]:
     """The estimator chain: the constant slots plus ``scaled_contributions``

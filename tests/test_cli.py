@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,8 +253,70 @@ def test_progress_goes_to_stderr(capsys, k4_file):
     code = main(["exact", k4_file, "--progress"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "loading" in captured.err
+    lines = captured.err.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == ["load n=4 m=6", "exact", "write"]
+    assert all(re.fullmatch(r"\d+\.\d{3}s", line.rsplit(" ", 1)[1]) for line in lines)
     json.loads(captured.out)  # stdout still clean JSON
+
+
+ENVELOPE = [
+    ["exact"],
+    ["estimate", "--p", "0.5"],
+    ["micro", "--edge", "0,1"],
+    ["adaptive"],
+    ["gfd"],
+    ["max", "--pattern", "4-cycle"],
+    ["oracle"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("argv", ENVELOPE, ids=lambda a: a[0])
+def test_every_command_carries_the_envelope(capsys, k4_file, argv, fmt):
+    assert main([argv[0], k4_file, *argv[1:], "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        keys = set(json.loads(out))
+    else:
+        keys = {line.split("\t")[0].split(".")[0] for line in out.splitlines()}
+    assert {"n", "m", "config", "timing"} <= keys
+
+
+# labels 2, 3, 0, 1, 4 get dense ids 0..4 by first appearance
+PERMUTED = "2 3\n0 1\n1 2\n0 2\n2 4\n3 4\n"
+NAMED = "b c\na b\nc a\nc d\nd e\nb e\n"
+
+
+@pytest.mark.parametrize("text, u, v", [(PERMUTED, 0, 1), (NAMED, "a", "b")],
+                         ids=["int-labels", "str-labels"])
+def test_edges_cross_the_cli_in_file_labels(tmp_path, capsys, text, u, v):
+    path = tmp_path / "labelled.txt"
+    path.write_text(text)
+    g = graphlets.parse_graph(text)
+    truth = graphlets.brute_force_edge_counts(g, (g.labels.index(u), g.labels.index(v)))
+    for cmd in ("micro", "oracle"):
+        code, doc = run_json(capsys, [cmd, str(path), "--edge", f"{u},{v}"])
+        assert code == 0
+        assert sorted(doc["edge"], key=str) == [u, v]
+        assert [doc["counts"][graphlets.NAMES[i + 1]] for i in range(17)] == truth
+    code, doc = run_json(capsys, ["max", str(path), "--pattern", "4-cycle"])
+    assert code == 0
+    a, b = g.edges[doc["edge_id"]]
+    assert doc["endpoints"] == [g.labels[a], g.labels[b]]
+
+
+@pytest.mark.parametrize("cmd", ["micro", "oracle"])
+@pytest.mark.parametrize("text, edge", [
+    ("10 20\n20 30\n30 10\n", "0,1"),  # dense ids 0 and 1 are an edge, labels are not
+    (NAMED, "a,zz"),
+], ids=["sparse-ints", "names"])
+def test_unknown_label_exits_1(tmp_path, capsys, cmd, text, edge):
+    path = tmp_path / "labelled.txt"
+    path.write_text(text)
+    assert main([cmd, str(path), "--edge", edge]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {edge} is not an edge of the graph\n"
 
 
 @pytest.mark.parametrize("argv, code", [
