@@ -258,7 +258,8 @@ def _cmd_oracle(g, args) -> dict:
     if args.edge is None:
         return {"counts": _named(brute_force_counts(g, max_n=args.max_n))}
     edge = _read_edge(g, args.edge)
-    return {"edge": _labelled(g, edge), "counts": _named(brute_force_edge_counts(g, edge))}
+    counts = brute_force_edge_counts(g, edge, max_n=args.max_n)
+    return {"edge": _labelled(g, edge), "counts": _named(counts)}
 
 
 def _cmd_verify(g, args) -> dict:

@@ -38,17 +38,22 @@ def classify_induced(g: Graph, subset) -> int:
     return patterns.classify_small(k, sum(degs) // 2, degs)
 
 
+def _check_size(g: Graph, max_n: int) -> None:
+    """Refuse before any O(n^2) bitmask table or subset loop is built."""
+    if g.n > max_n:
+        raise OracleSizeError(
+            f"n={g.n} exceeds the enumeration cap {max_n}; "
+            "raise max_n only if you accept exhaustive enumeration"
+        )
+
+
 def brute_force_counts(g: Graph, max_n: int = 64) -> list[int]:
     """All seventeen pattern counts by full enumeration of 2/3/4-subsets.
 
     Returns a list indexed by pattern id - 1.  The size-2 and complement
     entries come from the same enumeration, so every level sums to C(n, k).
     """
-    if g.n > max_n:
-        raise OracleSizeError(
-            f"n={g.n} exceeds the enumeration cap {max_n}; "
-            "raise max_n only if you accept O(n^4) work"
-        )
+    _check_size(g, max_n)
     bits = g.adjacency_bits()
     y = [0] * 17
     y[0] = g.m
@@ -67,14 +72,16 @@ def brute_force_counts(g: Graph, max_n: int = 64) -> list[int]:
     return y
 
 
-def brute_force_edge_counts(g: Graph, e) -> list[int]:
+def brute_force_edge_counts(g: Graph, e, max_n: int = 64) -> list[int]:
     """Per-edge pattern counts: subsets of size 2..4 that contain both ends.
 
     ``e`` is an edge id or an (u, v) pair that must be an edge.  Entry i-1
     counts the subsets containing both endpoints whose induced subgraph is
     pattern i; patterns that cannot hold an adjacent vertex pair (2, 6, 17)
-    are therefore always zero.
+    are therefore always zero.  Graphs past ``max_n`` vertices raise
+    OracleSizeError, as in ``brute_force_counts``.
     """
+    _check_size(g, max_n)
     u, v = resolve_edge(g, e)
     bits = g.adjacency_bits()
     y = [0] * 17

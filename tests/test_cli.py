@@ -144,8 +144,10 @@ def test_oracle_cmd(capsys, k4_file):
 
 
 def test_oracle_size_cap(capsys, er_file):
-    assert main(["oracle", er_file, "--max-n", "10"]) == 3
-    assert "resource" in capsys.readouterr().err
+    u, v = graphlets.load_graph(er_file).edges[0]
+    for edge in ([], ["--edge", f"{u},{v}"]):  # whole graph, then one edge
+        assert main(["oracle", er_file, "--max-n", "10", *edge]) == 3
+        assert "resource" in capsys.readouterr().err
 
 
 def test_verify_cmd(capsys, er_file):

@@ -2,6 +2,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlets import (
     Graph,
@@ -12,6 +14,8 @@ from graphlets import (
     resolve_edge,
     serialize,
 )
+from graphlets import local
+from graphlets.graph import _WAVE_MIN
 
 
 def test_graph_rejects_n_past_int32():
@@ -83,6 +87,87 @@ def test_core_numbers():
     assert k4.core_numbers().tolist() == [3, 3, 3, 3]
     path = from_edges([(0, 1), (1, 2), (2, 3)])
     assert path.core_numbers().tolist() == [1, 1, 1, 1]
+
+    # chains peel one vertex per wave, so they drain
+    long_path = from_edges([(i, i + 1) for i in range(1999)])
+    assert long_path.core_numbers().tolist() == [1] * 2000
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    k5_tail = from_edges(k5 + [(i, i + 1) for i in range(4, 1004)])
+    assert k5_tail.core_numbers().tolist() == [4] * 5 + [1] * 1000
+    star = from_edges([(0, leaf) for leaf in range(1, 21)])
+    assert star.core_numbers().tolist() == [1] * 21
+    isolated = from_edges([(0, 1), (0, 2), (1, 2)], n=6)
+    assert isolated.core_numbers().tolist() == [2, 2, 2, 0, 0, 0]
+    edgeless = from_edges([], n=5).core_numbers()
+    assert edgeless.dtype == np.int64 and edgeless.tolist() == [0] * 5
+    # one wide wave of ten leaves takes two degrees from vertex 0 (3 -> 1, so it
+    # joins level 1) and eight from vertex 4, which stays in the K4 {3, 4, 5, 6}
+    k4 = [(i, j) for i in range(3, 7) for j in range(i + 1, 7)]
+    broom = from_edges([(0, 1), (0, 2), (0, 3)] + k4 + [(4, v) for v in range(7, 15)])
+    assert broom.core_numbers().tolist() == [1, 1, 1] + [3] * 4 + [1] * 8
+
+
+def k_core(adj: list[set], k: int) -> set:
+    """Vertices left after repeatedly deleting those of degree < k."""
+    alive = set(range(len(adj)))
+    while low := {v for v in alive if len(adj[v] & alive) < k}:
+        alive -= low
+    return alive
+
+
+def reference_cores(g) -> list[int]:
+    """Core number by definition: the largest k whose k-core holds the vertex."""
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    core = [0] * g.n
+    k = 1
+    while survivors := k_core(adj, k):
+        for v in survivors:
+            core[v] = k
+        k += 1
+    return core
+
+
+@st.composite
+def pendant_tail_graphs(draw):
+    """A random graph on n0 <= 48 vertices plus 8-12 pendant vertices and a tail
+    of more than n0 / 7 + 1 vertices.  Level 1 starts with a wave of at least 8
+    pendants.  Each later level-1 frontier holds one tail vertex, and a wide one
+    needs 7 of the n0 others, so a thin frontier comes before the tail ends and
+    the level ends in a drain."""
+    n0 = draw(st.integers(1, 48))
+    density = draw(st.floats(0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.argwhere(np.triu(rng.random((n0, n0)) < density, k=1)).tolist()
+    vertex = st.integers(0, n0 - 1)
+    nxt = n0
+    for hub in draw(st.lists(vertex, min_size=8, max_size=12)):
+        edges.append((hub, nxt))
+        nxt += 1
+    prev = draw(vertex)
+    for _ in range(draw(st.integers(n0 // 7 + 2, 60))):
+        edges.append((prev, nxt))
+        prev, nxt = nxt, nxt + 1
+    return from_edges(edges, n=nxt)
+
+
+@settings(max_examples=100)
+@given(pendant_tail_graphs())
+def test_core_numbers_match_definition(g):
+    waves = []
+    gather = local._flat_neighbors
+
+    def spy(graph, front):  # the peel gathers each wave's neighbors once
+        waves.append(len(front))
+        return gather(graph, front)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "_flat_neighbors", spy)
+        core = g.core_numbers()
+    assert core.dtype == np.int64 and core.tolist() == reference_cores(g)
+    # both branches ran: waves only on wide frontiers, and every vertex no wave
+    # removed was drained
+    assert waves and min(waves) >= _WAVE_MIN
+    assert sum(waves) < g.n
 
 
 def test_edge_hardness():

@@ -64,6 +64,9 @@ def test_size_cap():
     g = gen_er(30, 0.2, 0)
     with pytest.raises(OracleSizeError):
         brute_force_counts(g, max_n=20)
+    with pytest.raises(OracleSizeError):
+        brute_force_edge_counts(g, 0, max_n=20)
+    assert g._adj_bits is None  # refused before the O(n^2) bitmasks were built
 
 
 def test_edge_counts_strict_containment(named):
