@@ -26,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -188,8 +189,11 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _accumulate_serial(g: Graph, edge_ids, with_sq: bool) -> tuple[list, list | None]:
-    """Exact sums of c(e), and of z(e)^2 when ``with_sq``, over ``edge_ids``.
+def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
+                       with_sq: bool) -> list[UnrestrictedAccumulator]:
+    """One accumulator per level: exact sums of c(e), and of z(e)^2 when
+    ``with_sq``, over the (edge id, level) ``rows`` at that level, whose
+    inclusion is ``inclusions[level]``.
 
     The per-edge loop only scans for (t, K_e, C_e); the tallies and their
     scaled contributions are then evaluated a chunk of edges at a time.  The
@@ -197,19 +201,26 @@ def _accumulate_serial(g: Graph, edge_ids, with_sq: bool) -> tuple[list, list | 
     int64 once r passes about 22,600.
     """
     marker = VertexMarker(g.n)
-    counts = [0] * 17
-    sq = [0] * 17 if with_sq else None
-    for i in range(0, len(edge_ids), CHUNK):
-        ends = g.edges[edge_ids[i:i + CHUNK]].astype(np.int64)
+    counts = [[0] * 17 for _ in inclusions]
+    sq = [[0] * 17 for _ in inclusions]
+    for i in range(0, len(rows), CHUNK):
+        ids, level = rows[i:i + CHUNK].T
+        ends = g.edges[ids].astype(np.int64)
         du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
         scans = [scan_edge(g, u, v, marker) for u, v in ends.tolist()]
         t, k4, cyc = np.array(scans, dtype=np.int64).T
         c = edge_tallies(t, k4, cyc, du, dv, g.n, g.m)
-        counts = [acc + isum(x) for acc, x in zip(counts, c)]
-        if with_sq:
-            z = scaled_contributions([x.astype(object) for x in c])
-            sq = [acc + int(np.sum(x * x)) for acc, x in zip(sq, z)]
-    return counts, sq
+        for q in np.unique(level).tolist():
+            at = level == q
+            cq = [x[at] for x in c]
+            counts[q] = [acc + isum(x) for acc, x in zip(counts[q], cq)]
+            if with_sq:
+                z = scaled_contributions([x.astype(object) for x in cq])
+                sq[q] = [acc + int(np.sum(x * x)) for acc, x in zip(sq[q], z)]
+    sizes = np.bincount(rows[:, 1], minlength=len(inclusions)).tolist()
+    return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, k_used=k,
+                                    inclusion=q)
+            for c, s, k, q in zip(counts, sq, sizes, inclusions)]
 
 
 # state handed to forked workers (copy-on-write; never pickled)
@@ -245,6 +256,24 @@ def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
         _FORK_STATE.clear()
 
 
+def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
+                       workers: int, with_sq: bool) -> list[UnrestrictedAccumulator]:
+    """``_accumulate_serial`` over ids[i] at level[i], from one parallel map.
+
+    Edges are processed in descending hardness order, split into dynamic
+    batches across workers; since every sum is an exact integer sum the
+    result is bitwise identical for any worker count or batch split.
+    """
+    if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
+        raise ValueError("edge id out of range")
+    ends = g.edges[ids]
+    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)  # d(u) + d(v)
+    rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
+    parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
+                          rows, workers)
+    return [reduce(UnrestrictedAccumulator.merge, accs) for accs in zip(*parts)]
+
+
 def accumulate(
     g: Graph,
     edge_ids,
@@ -252,26 +281,13 @@ def accumulate(
     with_sq: bool = False,
     inclusion: Fraction | None = None,
 ) -> UnrestrictedAccumulator:
-    """Sum per-edge tallies over ``edge_ids`` (repeats allowed).
-
-    Edges are processed in descending hardness order, split into dynamic
-    batches across workers; since every total is an exact integer sum the
-    result is bitwise identical for any worker count.
-    """
+    """Sum per-edge tallies over ``edge_ids`` (repeats allowed); bitwise
+    identical for any worker count."""
     workers = _resolve_workers(workers)
     ids = np.asarray(edge_ids, dtype=np.int64)
-    if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
-        raise ValueError("edge id out of range")
-    ends = g.edges[ids]
-    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)  # d(u) + d(v)
-    ids = ids[np.argsort(-hardness, kind="stable")]
-
-    parts = _parallel_map(lambda part: _accumulate_serial(g, part, with_sq), ids, workers)
-    counts = [sum(col) for col in zip(*(c for c, _ in parts))]
-    sq = [sum(col) for col in zip(*(q for _, q in parts))] if with_sq else None
-    return UnrestrictedAccumulator(
-        counts=counts, sq=sq, k_used=len(ids), inclusion=inclusion
-    )
+    [acc] = _accumulate_levels(g, ids, np.zeros(len(ids), dtype=np.int64), [inclusion],
+                               workers, with_sq)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +399,14 @@ def sample_and_estimate(
 ) -> GraphletEstimate:
     """Sample, accumulate, estimate: the one-call path used by the CLI.
 
-    The drawn edges are grouped by inclusion probability and accumulated
-    once per level.
+    The drawn edges are grouped by inclusion probability, and one parallel
+    map accumulates every group's sums.
     """
+    workers = _resolve_workers(workers)
     ids, pi = _draw(g, design)
-    pi = pi[ids]
-    return estimate_counts(g, [
-        accumulate(g, ids[pi == q], workers=workers, with_sq=True,
-                   inclusion=Fraction(q))
-        for q in np.unique(pi)
-    ])
+    levels, level = np.unique(pi[ids], return_inverse=True)
+    return estimate_counts(g, _accumulate_levels(
+        g, ids, level, [Fraction(q) for q in levels], workers, with_sq=True))
 
 
 def confidence_bounds(

@@ -30,9 +30,8 @@ class ExtremalResult:
     exact: bool  # True when every edge was scanned
 
 
-def _best_over(g: Graph, ids, pid: int) -> tuple[int, int]:
+def _best_over(kernel: MicroKernel, ids, pid: int) -> tuple[int, int]:
     """(largest count, -edge id) over ``ids``: ties go to the smaller id."""
-    kernel = MicroKernel(g)
     return max((kernel.counts(int(e)).x[pid - 1], -int(e)) for e in ids)
 
 
@@ -49,7 +48,8 @@ def max_per_edge(
     if len(ids) == 0:
         raise ValueError("edge sample is empty; nothing to scan")
 
-    parts = _parallel_map(lambda part: _best_over(g, part, pid), ids, workers)
+    kernel = MicroKernel(g)  # built here, so forked workers share its up-lists
+    parts = _parallel_map(lambda part: _best_over(kernel, part, pid), ids, workers)
     best_val, neg_eid = max(parts)
     best_eid = -neg_eid
 

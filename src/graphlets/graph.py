@@ -20,6 +20,14 @@ array, and no Python loop runs over rows after that.  Under ``fmt="auto"``:
    first appearance.  Integer labels that fit in int64 compare as integers.
 
 Every format rejects self-loops at their line and allows m = 0.
+
+Two derived structures are built on first use and cached on the ``Graph``:
+``core_numbers()`` and ``up_lists()``.  The up-lists orient every edge from
+its lower- to its higher-ranked end by (degree, id), the rank of
+``wholegraph`` (Chiba and Nishizeki 1985): vertex w's list holds its
+neighbors ranked above w, in id order, so the lists hold each edge once and
+their lengths sum to m.  They are a second CSR (int64 offsets, int32 ids)
+sized by the CSR, never by ``n``.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ class Graph:
     labels: list | None = None  # dense id -> original label; None means identity
     _adj_bits: list[int] | None = field(default=None, repr=False, compare=False)
     _core: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _up: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         _check_n(self.n)
@@ -112,6 +122,18 @@ class Graph:
         if self._core is None:
             self._core = _peel_cores(self)
         return self._core
+
+    def up_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, ids) of each vertex's neighbors ranked above it; cached."""
+        if self._up is None:
+            deg = self.degrees
+            src = np.repeat(np.arange(len(deg)), deg)
+            dst = self.indices
+            above = (deg[dst] > deg[src]) | ((deg[dst] == deg[src]) & (dst > src))
+            offsets = np.zeros(len(deg) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src[above], minlength=len(deg)), out=offsets[1:])
+            self._up = offsets, dst[above].astype(np.int32)
+        return self._up
 
     def edge_core(self) -> np.ndarray:
         """min(core[u], core[v]) per edge id."""

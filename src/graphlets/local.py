@@ -47,8 +47,7 @@ class VertexMarker:
 
     def code(self, verts: np.ndarray) -> np.ndarray:
         """Live code per vertex (0 when unmarked this generation)."""
-        m = self.marks[verts]
-        return np.where(m > self.gen, m - self.gen, 0)
+        return np.maximum(self.marks[verts] - self.gen, 0)  # stale marks are <= gen
 
 
 @dataclass
@@ -61,19 +60,21 @@ class EdgeLocal:
     far: int
 
 
+def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
+    """The lists of ``verts`` in the CSR (offsets, ids), concatenated without a
+    Python loop, and each list's length."""
+    starts = offsets[verts]
+    lens = offsets[verts + 1] - starts
+    heads = np.cumsum(lens) - lens  # where each list lands in the output
+    total = int(heads[-1] + lens[-1]) if len(lens) else 0
+    if total == 0:
+        return _EMPTY, lens
+    return ids[np.repeat(starts - heads, lens) + np.arange(total)], lens
+
+
 def _flat_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of ``verts`` without a Python loop."""
-    if len(verts) == 0:
-        return _EMPTY
-    starts = g.indptr[verts]
-    lens = g.indptr[verts + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return _EMPTY
-    # offsets within each run: arange(total) minus each run's cumulative start
-    run_heads = np.repeat(np.cumsum(lens) - lens, lens)
-    idx = np.repeat(starts, lens) + (np.arange(total, dtype=np.int64) - run_heads)
-    return g.indices[idx]
+    return _gather(g.indptr, g.indices, verts)[0]
 
 
 def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker) -> EdgeLocal:

@@ -6,22 +6,32 @@ endpoint-missing patterns (ids 2, 6, 17) are always zero and id 1 is always
 one.  Summed over all edges, each count equals the global count times the
 pattern's edge multiplicity (patterns.EDGE_COUNTS).
 
-The kernel takes the zones from ``local.classify_edge`` (common T, exclusive
-S_u and S_v, far), stamps u and v with one more endpoint code, gathers the
-neighbor lists of T, S_u and S_v into one flat array, and tallies each
-(source zone, target code) pair with one ``np.bincount``.  The adjacent
-zone-pair tallies a_tt, a_ts, a_tf, a_uu, a_vv, a_uv and a_sf are read off
-that 4 x 5 matrix: a pair inside one zone is seen from both sides and
-halved, a pair across zones is read from one fixed side.  The slots are the
-unrestricted tallies of ``local.edge_tallies`` with each adjacent pair moved
-to the pattern it completes.  At p_e = 1 every step is integer arithmetic,
-so the counts are exact at any n.
+The kernel takes the zones from ``local.classify_edge``: common T, exclusive
+S_u and S_v, and far.  It needs seven adjacent zone-pair tallies, a_tt, a_ts,
+a_tf, a_uu, a_vv, a_uv and a_sf.  The slots are the unrestricted tallies of
+``local.edge_tallies`` with each adjacent pair moved to the pattern it
+completes.
 
-Neighbor-sampled counts (p_e < 1) keep ceil(d * p_e) random entries of each
-gathered vertex's d neighbors and weight each kept entry by d / s, so every
-tally, and every slot (linear in the tallies), is unbiased.  No clamp is
-applied, so a sampled count can come out negative when its true value is
-small.
+Exact counts (p_e = 1) scan only the up-lists (``Graph.up_lists``) of T, S_u
+and S_v, so an adjacent pair inside those zones is read once, from its
+lower-ranked end.  One ``np.bincount`` of (zone of the lower end, code of the
+upper end) gives a_tt, a_uu and a_vv on its diagonal, and a_ts and a_uv as a
+cell plus its transpose.  The far tallies follow from the degree sums
+D_T = sum over T of d(w) and D_S = the same over S_u and S_v:
+
+    a_tf = D_T - 2t - 2 a_tt - a_ts
+    a_sf = D_S - |S_u| - |S_v| - 2 (a_uu + a_vv) - a_ts - 2 a_uv
+
+Every step is integer arithmetic, so the counts are exact at any n.
+
+Neighbor-sampled counts (p_e < 1) gather the full neighbor lists of T, S_u
+and S_v, because each vertex samples its own list.  They keep ceil(d * p_e)
+random entries of each gathered vertex's d neighbors and weight each kept
+entry by d / s, so every tally, and every slot (linear in the tallies), is
+unbiased.  u and v get one more code, so that they do not read as far.  A
+pair inside one zone is seen from both sides and halved, a pair across zones
+is read from one fixed side.  No clamp is applied, so a sampled count can
+come out negative when its true value is small.
 """
 
 from __future__ import annotations
@@ -31,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, VertexMarker, _flat_neighbors, classify_edge, edge_tallies
+from .local import _SU, _SV, _T, VertexMarker, _gather, classify_edge, edge_tallies
 
-# code stamped on u and v after classify_edge, so that they do not read as
+_ZONES = np.array([_T, _SU, _SV])  # zone codes in the order T, S_u, S_v
+# code stamped on u and v by the sampled path, so that they do not read as
 # far; it must stay below VertexMarker.STRIDE
 _END = 4
 _CODES = _END + 1  # far (0), the three zone codes, _END
@@ -59,50 +70,27 @@ class MicroEstimate:
 
 
 class MicroKernel:
-    """Reusable per-edge counting state for one graph."""
+    """Reusable per-edge counting state for one graph: vertex marks and the
+    graph's up-lists, both built here, once."""
 
     def __init__(self, g: Graph):
         self.g = g
         self._marker = VertexMarker(g.n)
+        self._up = g.up_lists()
 
     def counts(self, edge, p_e: float = 1.0, rng=None) -> MicroEstimate:
         if not (0 < p_e <= 1):
             raise ValueError(f"p_e must be in (0, 1], got {p_e}")
         g = self.g
         u, v = resolve_edge(g, edge)
-        marker = self._marker
-        local = classify_edge(g, u, v, marker)
-        marker.marks[[u, v]] = marker.gen + _END
+        local = classify_edge(g, u, v, self._marker)
         t, su, sv, r = len(local.T), len(local.S_u), len(local.S_v), local.far
         exact = p_e >= 1.0
-
         src = np.concatenate([local.T, local.S_u, local.S_v])
-        deg = g.indptr[src + 1] - g.indptr[src]
-        zone = np.repeat(np.repeat([_T, _SU, _SV], [t, su, sv]), deg)
-        nbrs = _flat_neighbors(g, src)
-        weights = None
-        if not exact:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            keep = np.ceil(deg * p_e).astype(np.int64)
-            owner = np.repeat(np.arange(len(src)), deg)
-            # a random order within each source's run; keep its first s entries
-            order = np.lexsort((rng.random(len(nbrs)), owner))
-            rank = np.arange(len(nbrs)) - np.repeat(np.cumsum(deg) - deg, deg)
-            picked = order[rank < keep[owner]]
-            nbrs, zone = nbrs[picked], zone[picked]
-            weights = (deg / keep)[owner[picked]]
-        keys = zone * _CODES + marker.code(nbrs)
-        M = np.bincount(keys, weights=weights, minlength=4 * _CODES)
-        M = M.reshape(4, _CODES).tolist()
-
-        a_tt, a_uu, a_vv = (
-            M[z][z] // 2 if exact else M[z][z] / 2 for z in (_T, _SU, _SV)
-        )
-        a_ts = M[_T][_SU] + M[_T][_SV]
-        a_tf = M[_T][0]
-        a_uv = M[_SU][_SV]
-        a_sf = M[_SU][0] + M[_SV][0]
+        zone = np.repeat(_ZONES, (t, su, sv))
+        a_tt, a_ts, a_tf, a_uu, a_vv, a_uv, a_sf = (
+            self._oriented(src, zone, t, su, sv) if exact
+            else self._sampled(u, v, src, zone, p_e, rng))
 
         a_ss = a_uu + a_vv
         x = list(edge_tallies(t, a_tt, a_uv, g.degree(u), g.degree(v), g.n, g.m))
@@ -116,6 +104,48 @@ class MicroKernel:
         if not exact:
             x[1] = x[5] = x[16] = 0.0
         return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(t, su, sv, r))
+
+    def _oriented(self, src, zone, t: int, su: int, sv: int) -> tuple:
+        """The seven tallies, exactly, from the up-lists of ``src`` (T, S_u, S_v)."""
+        nbrs, lens = _gather(*self._up, src)
+        keys = np.repeat(zone * 4, lens) + self._marker.code(nbrs)
+        M = np.bincount(keys, minlength=16).reshape(4, 4).tolist()
+        deg = self.g.indptr[src + 1] - self.g.indptr[src]
+        d_t, d_s = int(deg[:t].sum()), int(deg[t:].sum())
+
+        a_tt, a_uu, a_vv = M[_T][_T], M[_SU][_SU], M[_SV][_SV]
+        a_ts = M[_T][_SU] + M[_SU][_T] + M[_T][_SV] + M[_SV][_T]
+        a_uv = M[_SU][_SV] + M[_SV][_SU]
+        a_tf = d_t - 2 * t - 2 * a_tt - a_ts
+        a_sf = d_s - su - sv - 2 * (a_uu + a_vv) - a_ts - 2 * a_uv
+        return a_tt, a_ts, a_tf, a_uu, a_vv, a_uv, a_sf
+
+    def _sampled(self, u: int, v: int, src, zone, p_e: float, rng) -> tuple:
+        """The seven tallies, unbiased, from sampled full neighbor lists of ``src``."""
+        g, marker = self.g, self._marker
+        marker.marks[[u, v]] = marker.gen + _END
+        nbrs, deg = _gather(g.indptr, g.indices, src)
+        zone = np.repeat(zone, deg)
+        if rng is None:
+            rng = np.random.default_rng(0)
+        keep = np.ceil(deg * p_e).astype(np.int64)
+        owner = np.repeat(np.arange(len(src)), deg)
+        # a random order within each source's run; keep its first s entries
+        order = np.lexsort((rng.random(len(nbrs)), owner))
+        rank = np.arange(len(nbrs)) - np.repeat(np.cumsum(deg) - deg, deg)
+        picked = order[rank < keep[owner]]
+        nbrs, zone = nbrs[picked], zone[picked]
+        weights = (deg / keep)[owner[picked]]
+        keys = zone * _CODES + marker.code(nbrs)
+        M = np.bincount(keys, weights=weights, minlength=4 * _CODES)
+        M = M.reshape(4, _CODES).tolist()
+
+        a_tt, a_uu, a_vv = (M[z][z] / 2 for z in (_T, _SU, _SV))
+        a_ts = M[_T][_SU] + M[_T][_SV]
+        a_tf = M[_T][0]
+        a_uv = M[_SU][_SV]
+        a_sf = M[_SU][0] + M[_SV][0]
+        return a_tt, a_ts, a_tf, a_uu, a_vv, a_uv, a_sf
 
 
 def micro_counts(g: Graph, edge, p_e: float = 1.0, seed: int = 0) -> MicroEstimate:

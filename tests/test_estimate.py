@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gen import gen_er, named_graphs
+from gen import gen_er, gen_power_law, named_graphs
 from graphlets import (
     SampleDesign,
     accumulate,
@@ -23,6 +23,7 @@ from graphlets import (
     scaled_contributions,
     unrestricted_counts,
 )
+from graphlets import estimate
 from graphlets.estimate import _chain, _draw, _resolve_workers
 
 
@@ -175,6 +176,35 @@ def test_parallel_bitwise_identity():
         alt = accumulate(g, ids, workers=w, with_sq=True, inclusion=Fraction(4, 5))
         assert alt.counts == ref.counts
         assert alt.sq == ref.sq
+
+
+def test_one_pool_per_sample_and_estimate(monkeypatch):
+    # a kcore design has one inclusion level per edge core number; every level
+    # goes through one parallel map, and each level's sums are the ones a
+    # separate accumulate call over that level gives
+    g = gen_power_law(400, 6.0, 5)
+    design = SampleDesign(p=0.3, weighting="kcore", seed=2)
+    ids, pi = _draw(g, design)
+    levels = np.unique(pi[ids])
+    assert len(levels) >= 4
+    per_level = estimate_counts(g, [
+        accumulate(g, ids[pi[ids] == q], with_sq=True, inclusion=Fraction(q))
+        for q in levels])
+    calls = []
+    parallel_map = estimate._parallel_map
+
+    def counted(fn, rows, workers):
+        calls.append(len(rows))
+        return parallel_map(fn, rows, workers)
+
+    monkeypatch.setattr(estimate, "_parallel_map", counted)
+    for workers in (1, 2):
+        calls.clear()
+        est = sample_and_estimate(g, design, workers=workers)
+        assert calls == [len(ids)]
+        assert (est.X, est.variance, est.k_used) == (
+            per_level.X, per_level.variance, per_level.k_used)
+        assert confidence_bounds(est) == confidence_bounds(per_level)
 
 
 def test_serial_fallback_without_fork(monkeypatch):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import gen_er, gen_power_law
 from graphlets import (
     EDGE_COUNTS,
     Graph,
     MicroKernel,
+    SampleDesign,
     brute_force_counts,
     brute_force_edge_counts,
     exact_counts,
@@ -23,6 +26,58 @@ def test_micro_equals_edge_oracle(seed):
     kernel = MicroKernel(g)
     for e in range(g.m):
         assert kernel.counts(e).x == brute_force_edge_counts(g, e), e
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph (perhaps edgeless), a circulant graph (every degree
+    equal, so the id breaks every rank tie), a star or a clique on at most 10
+    vertices, plus up to 3 isolated vertices, under a random relabelling."""
+    kind = draw(st.sampled_from(["random", "circulant", "star", "clique"]))
+    if kind == "random":
+        n0 = draw(st.integers(2, 9))
+        pairs = [(a, b) for a in range(n0) for b in range(a + 1, n0)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    elif kind == "circulant":
+        n0 = draw(st.integers(3, 10))
+        steps = draw(st.sets(st.integers(1, n0 // 2), min_size=1))
+        edges = [(i, (i + s) % n0) for i in range(n0) for s in steps]
+    elif kind == "star":
+        n0 = draw(st.integers(2, 10))
+        edges = [(0, leaf) for leaf in range(1, n0)]
+    else:
+        n0 = draw(st.integers(2, 8))
+        edges = [(a, b) for a in range(n0) for b in range(a + 1, n0)]
+    n = n0 + draw(st.integers(0, 3))
+    label = draw(st.permutations(range(n)))
+    return from_edges([(label[a], label[b]) for a, b in edges], n=n)
+
+
+@settings(max_examples=150)
+@given(small_graphs())
+def test_oriented_kernel_equals_oracle(g):
+    kernel = MicroKernel(g)
+    for e in range(g.m):
+        x = kernel.counts(e).x
+        assert x == brute_force_edge_counts(g, e), e
+        assert all(type(val) is int for val in x)
+
+
+@settings(max_examples=150)
+@given(small_graphs())
+def test_up_lists_partition_edges(g):
+    offsets, ids = g.up_lists()
+    assert g.up_lists()[1] is ids  # cached
+    assert ids.dtype == np.int32 and len(offsets) == len(g.indptr)
+    assert np.diff(offsets).sum() == offsets[-1] == g.m
+    deg = g.degrees
+    low = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    # each edge once, from its lower (degree, id) end, each list in id order
+    assert ((deg[low] < deg[ids]) | ((deg[low] == deg[ids]) & (low < ids))).all()
+    pairs = np.sort(np.column_stack([low, ids]), axis=1)
+    assert sorted(map(tuple, pairs.tolist())) == sorted(map(tuple, g.edges.tolist()))
+    for w in range(len(offsets) - 1):
+        assert (np.diff(ids[offsets[w]:offsets[w + 1]]) > 0).all()
 
 
 def test_micro_named(named):
@@ -73,6 +128,7 @@ def test_integer_exact_at_huge_n():
     r = n - 2
     assert res.x[15] == r * (r - 1) // 2
     assert all(type(val) is int for val in res.x)
+    assert [len(a) for a in g.up_lists()] == [3, 1]  # sized by the CSR, not by n
 
 
 def test_hub_scale_multiplicity_and_max():
@@ -86,6 +142,24 @@ def test_hub_scale_multiplicity_and_max():
     for pid in EDGE_INCIDENT:
         assert sums[pid - 1] == EDGE_COUNTS[pid] * total[pid - 1], pid
     assert max_per_edge(g, "4-cycle", workers=2).value == max(per_edge[:, 9])
+
+
+def test_max_per_edge_workers_agree():
+    g = gen_power_law(3000, 5.0, 1)
+    kcore = SampleDesign(size=400, weighting="kcore", seed=3)
+    for pattern, design in (("4-cycle", None), ("4-clique", None), ("4-cycle", kcore)):
+        one = max_per_edge(g, pattern, design=design, workers=1)
+        assert max_per_edge(g, pattern, design=design, workers=2) == one, pattern
+
+
+@pytest.mark.parametrize("p_e", [1.0, 0.4])
+def test_univariate_stats_is_the_kernel_loop(p_e):
+    g = gen_er(25, 0.3, 45)
+    kernel = MicroKernel(g)
+    for pid in (4, 10, 15):
+        rng = np.random.default_rng(6) if p_e < 1 else None
+        loop = [kernel.counts(e, p_e=p_e, rng=rng).x[pid - 1] for e in range(g.m)]
+        assert univariate_stats(g, pid, p_e=p_e, seed=6)["values"].tolist() == loop, pid
 
 
 def test_p4_univariate_example(named):
@@ -150,6 +224,38 @@ def test_sampled_micro_unclamped_low_count():
     vals = np.array([kernel.counts(63, p_e=0.4, rng=rng).x[i] for _ in range(2000)])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 2) <= 4 * se, (vals.mean(), se)
+
+
+# micro_counts(g, e, p_e=0.4, seed=s).x as float.hex, recorded from the kernel
+# that gathered full neighbor lists for exact counts too; the sampled path
+# must stay bitwise the same
+SAMPLED_GOLDEN = [
+    ("er", 7, 2, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.c000000000000p+3 "
+     "0x1.a000000000000p+3 0x0.0p+0 0x0.0p+0 0x1.199999999999ap+2 0x1.a888888888888p+4 "
+     "0x1.2cccccccccccdp+3 0x1.1d55555555555p+5 0x1.63cccccccccccp+6 0x1.9999999999999p+2 "
+     "0x1.014cccccccccdp+7 0x1.4eaaaaaaaaaaep+4 0x1.c8aaaaaaaaaa9p+5 0x0.0p+0"),
+    ("er", 0, 5, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.4000000000000p+3 "
+     "0x1.1000000000000p+4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e2cccccccccccp+4 0x1.a000000000000p+2 "
+     "0x1.5a66666666667p+3 0x1.e955555555555p+5 0x1.8000000000000p+2 0x1.fd55555555556p+6 "
+     "0x1.3d44444444445p+5 0x1.815dddddddddep+6 0x0.0p+0"),
+    ("pl", 716, 1, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+3 0x1.a000000000000p+5 "
+     "0x1.dc00000000000p+7 0x0.0p+0 0x1.3333333333333p+0 0x1.2c5b05b05b05bp+5 "
+     "0x1.f21e20108cabbp+8 0x1.a4e2856e2856ep+4 0x1.3d36fb586fb58p+9 0x1.a4f76cd3e4842p+9 "
+     "0x1.c8ad555555555p+10 0x1.7cbe17f00aa39p+13 0x1.72a65a9434e62p+8 0x1.b2e16695af2c6p+14 "
+     "0x0.0p+0"),
+    ("pl", 17, 3, "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+2 "
+     "0x1.2600000000000p+8 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+1 "
+     "0x1.4000000000000p+5 0x0.0p+0 0x1.1d00000000000p+10 0x1.6900000000000p+9 "
+     "0x1.4ada000000000p+15 0x0.0p+0"),
+]
+
+
+def test_sampled_micro_golden():
+    graphs = {"er": gen_er(30, 0.3, 41), "pl": gen_power_law(300, 5.0, 2)}
+    assert int(np.argmax(graphs["pl"].edge_hardness())) == 716  # its hardest edge
+    for name, e, seed, golden in SAMPLED_GOLDEN:
+        x = micro_counts(graphs[name], e, p_e=0.4, seed=seed).x
+        assert " ".join(float(val).hex() for val in x) == golden, (name, e, seed)
 
 
 def test_sampled_micro_deterministic_by_seed():
