@@ -71,7 +71,7 @@ def _ci_delta(est: GraphletEstimate) -> float:
 
 
 def adaptive_estimate(
-    g: Graph, config: AdaptiveConfig | None = None, workers: int | None = 1
+    g: Graph, config: AdaptiveConfig | None = None, workers: int = 1
 ) -> AdaptiveResult:
     """Run the doubling loop and return the final estimate."""
     cfg = config or AdaptiveConfig()

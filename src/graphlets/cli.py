@@ -65,8 +65,8 @@ def _add_io(sub):
 
 
 def _add_workers(sub):
-    sub.add_argument("--workers", type=int, default=None,
-                     help="process count (default GRAPHLET_WORKERS or 1)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="process count (default 1)")
 
 
 def _add_design(sub, required=False):
@@ -203,8 +203,6 @@ def _cmd_micro(g, args) -> dict:
             "counts": _named(res.x),
             "zones": dict(zip(("common", "only_u", "only_v", "far"), res.zones)),
         }
-    if args.pattern is None:
-        raise UsageError("micro needs --edge U,V or --pattern for the summary")
     pid = patterns.resolve_pattern(args.pattern)
     stats = univariate_stats(g, pid, p_e=args.p_edge, seed=args.seed)
     stats.pop("values")
@@ -299,9 +297,10 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("micro", help="per-edge counts or their distribution")
     _add_io(p)
-    p.add_argument("--edge", default=None, help="endpoints 'U,V'")
-    p.add_argument("--pattern", default=None,
-                   help="pattern id or name for summary stats over all edges")
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--edge", default=None, help="endpoints 'U,V'")
+    grp.add_argument("--pattern", default=None,
+                     help="pattern id or name for summary stats over all edges")
     p.add_argument("--p-edge", type=float, default=1.0,
                    help="neighbor sampling fraction (1 = exact)")
     p.add_argument("--seed", type=int, default=0)

@@ -23,7 +23,6 @@ makes the exact-integer variance accumulator possible.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -181,9 +180,7 @@ def scaled_contributions(c) -> tuple:
     return tuple(z)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("GRAPHLET_WORKERS", "1"))
+def _resolve_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -277,7 +274,7 @@ def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions:
 def accumulate(
     g: Graph,
     edge_ids,
-    workers: int | None = 1,
+    workers: int = 1,
     with_sq: bool = False,
     inclusion: Fraction | None = None,
 ) -> UnrestrictedAccumulator:
@@ -382,7 +379,7 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
     )
 
 
-def exact_counts(g: Graph, workers: int | None = 1) -> GraphletEstimate:
+def exact_counts(g: Graph, workers: int = 1) -> GraphletEstimate:
     """Exact counts of all seventeen patterns from one whole-graph pass.
 
     The pass (``wholegraph.edge_totals``) is serial; ``workers`` is only
@@ -395,7 +392,7 @@ def exact_counts(g: Graph, workers: int | None = 1) -> GraphletEstimate:
 
 
 def sample_and_estimate(
-    g: Graph, design: SampleDesign, workers: int | None = 1
+    g: Graph, design: SampleDesign, workers: int = 1
 ) -> GraphletEstimate:
     """Sample, accumulate, estimate: the one-call path used by the CLI.
 

@@ -39,7 +39,7 @@ def max_per_edge(
     g: Graph,
     pattern,
     design: SampleDesign | None = None,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> ExtremalResult:
     """Maximum per-edge count of ``pattern`` over scanned (or all) edges."""
     pid = resolve_pattern(pattern)

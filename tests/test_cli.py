@@ -98,7 +98,12 @@ def test_micro_stats(capsys, k4_file):
 
 def test_micro_requires_target(k4_file, capsys):
     assert main(["micro", k4_file]) == 1
-    assert "needs --edge" in capsys.readouterr().err
+    assert "one of the arguments --edge --pattern is required" in capsys.readouterr().err
+
+
+def test_micro_edge_and_pattern_exclusive(k4_file, capsys):
+    assert main(["micro", k4_file, "--edge", "0,1", "--pattern", "4-cycle"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_micro_bad_edge(k4_file, capsys):

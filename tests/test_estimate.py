@@ -223,9 +223,7 @@ def test_serial_fallback_without_fork(monkeypatch):
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.setenv("GRAPHLET_WORKERS", "3")
-    assert _resolve_workers(None) == 3
+def test_resolve_workers_env():
     assert _resolve_workers(2) == 2
     with pytest.raises(ValueError):
         _resolve_workers(0)

@@ -196,11 +196,24 @@ def test_sampled_micro_zone_slots_stay_exact():
         assert not part.exact
 
 
-def test_sampled_micro_unbiased_mean():
+def _fan(k: int) -> Graph:
+    """Hub 0 joined to every vertex of the path 1 - 2 - ... - k."""
+    return from_edges([(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)])
+
+
+@pytest.mark.parametrize("g, e", [
+    # the hardest edge of a dense ER graph
+    pytest.param(gen_er(30, 0.35, 42), "hardest", id="er-hardest"),
+    # the hub edge of a power-law graph, whose up-lists are long
+    pytest.param(gen_power_law(300, 5.0, 2), 716, id="pl-hub"),
+    # path edge (1, 2) of a fan: its common neighbor, the hub, has an empty up-list
+    pytest.param(_fan(6), (1, 2), id="fan-empty-up-list"),
+])
+def test_sampled_micro_unbiased_mean(g, e):
     # neighbor-sampled tallies average out to the exact per-edge counts
-    g = gen_er(30, 0.35, 42)
     kernel = MicroKernel(g)
-    e = int(np.argmax(g.edge_hardness()))
+    if e == "hardest":
+        e = int(np.argmax(g.edge_hardness()))
     exact = np.array(micro_counts(g, e).x, dtype=float)
     rng = np.random.default_rng(7)
     runs = np.array(
@@ -214,8 +227,17 @@ def test_sampled_micro_unbiased_mean():
             assert abs(mean[i] - exact[i]) <= 4 * se[i], i
 
 
+def test_sampled_route_keeps_whole_lists(named):
+    # at p_e = 1 - 1e-9 every up-list is kept whole, each entry with weight 1
+    for name, g in named.items():
+        kernel = MicroKernel(g)
+        rng = np.random.default_rng(0)
+        for e in range(g.m):
+            assert kernel.counts(e, p_e=1 - 1e-9, rng=rng).x == kernel.counts(e).x, (name, e)
+
+
 def test_sampled_micro_unclamped_low_count():
-    # a zero clamp pulls this slot's mean about 19 SE above its true value
+    # a zero clamp pulls this slot's mean about 16 SE above its true value
     g = gen_er(30, 0.35, 43)
     kernel = MicroKernel(g)
     i = 15 - 1  # 4-node-2-edge
@@ -227,26 +249,25 @@ def test_sampled_micro_unclamped_low_count():
 
 
 # micro_counts(g, e, p_e=0.4, seed=s).x as float.hex, recorded from the kernel
-# that gathered full neighbor lists for exact counts too; the sampled path
-# must stay bitwise the same
+# that keeps ceil(d * p_e) random entries of each up-list of d entries, weighted
+# by d / ceil(d * p_e); this pins the draw order and the float sums of that
+# route, so the sampled path must stay bitwise the same
 SAMPLED_GOLDEN = [
     ("er", 7, 2, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.c000000000000p+3 "
-     "0x1.a000000000000p+3 0x0.0p+0 0x0.0p+0 0x1.199999999999ap+2 0x1.a888888888888p+4 "
-     "0x1.2cccccccccccdp+3 0x1.1d55555555555p+5 0x1.63cccccccccccp+6 0x1.9999999999999p+2 "
-     "0x1.014cccccccccdp+7 0x1.4eaaaaaaaaaaep+4 0x1.c8aaaaaaaaaa9p+5 0x0.0p+0"),
+     "0x1.a000000000000p+3 0x0.0p+0 0x0.0p+0 0x1.1555555555556p+2 0x1.a800000000000p+4 "
+     "0x1.7000000000001p+3 0x1.0eaaaaaaaaaaap+5 0x1.4755555555555p+6 0x1.0aaaaaaaaaaabp+3 "
+     "0x1.0b55555555556p+7 0x1.8000000000002p+4 0x1.affffffffffffp+5 0x0.0p+0"),
     ("er", 0, 5, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.4000000000000p+3 "
-     "0x1.1000000000000p+4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e2cccccccccccp+4 0x1.a000000000000p+2 "
-     "0x1.5a66666666667p+3 0x1.e955555555555p+5 0x1.8000000000000p+2 0x1.fd55555555556p+6 "
-     "0x1.3d44444444445p+5 0x1.815dddddddddep+6 0x0.0p+0"),
+     "0x1.1000000000000p+4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.7d55555555556p+4 "
+     "0x1.6000000000000p+2 0x1.e555555555555p+3 0x1.3355555555555p+6 0x1.0000000000000p+3 "
+     "0x1.c2aaaaaaaaaabp+6 0x1.02aaaaaaaaaacp+5 0x1.9eaaaaaaaaaaap+6 0x0.0p+0"),
     ("pl", 716, 1, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+3 0x1.a000000000000p+5 "
-     "0x1.dc00000000000p+7 0x0.0p+0 0x1.3333333333333p+0 0x1.2c5b05b05b05bp+5 "
-     "0x1.f21e20108cabbp+8 0x1.a4e2856e2856ep+4 0x1.3d36fb586fb58p+9 0x1.a4f76cd3e4842p+9 "
-     "0x1.c8ad555555555p+10 0x1.7cbe17f00aa39p+13 0x1.72a65a9434e62p+8 0x1.b2e16695af2c6p+14 "
-     "0x0.0p+0"),
-    ("pl", 17, 3, "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+2 "
-     "0x1.2600000000000p+8 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+1 "
-     "0x1.4000000000000p+5 0x0.0p+0 0x1.1d00000000000p+10 0x1.6900000000000p+9 "
-     "0x1.4ada000000000p+15 0x0.0p+0"),
+     "0x1.dc00000000000p+7 0x0.0p+0 0x0.0p+0 0x1.9000000000000p+5 0x1.e800000000000p+8 "
+     "0x1.1800000000000p+4 0x1.3b00000000000p+9 0x1.a7c0000000000p+9 0x1.c980000000000p+10 "
+     "0x1.7cd8000000000p+13 0x1.7380000000000p+8 0x1.b2de000000000p+14 0x0.0p+0"),
+    ("pl", 17, 3, "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+2 0x1.2600000000000p+8 "
+     "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+1 0x1.4000000000000p+5 "
+     "0x0.0p+0 0x1.1d00000000000p+10 0x1.6900000000000p+9 0x1.4ada000000000p+15 0x0.0p+0"),
 ]
 
 
