@@ -6,9 +6,15 @@ of that table is the edge id used everywhere else (sampling, per-edge
 statistics, tie breaking).
 
 ``load_graph(path)`` reads a file, gunzipping it when it starts with the gzip
-magic bytes, and ``parse_graph(text)`` parses text.  Parsing tokenizes once
-(blank and ``#``/``%`` lines dropped, commas count as whitespace) into one
-array, and no Python loop runs over rows after that.  Under ``fmt="auto"``:
+magic bytes, and ``parse_graph(text)`` parses text.  Parsing drops one
+leading byte-order mark and tokenizes once into one array, and no Python loop
+runs over rows after that.  Lines break where ``str.splitlines`` breaks them,
+tokens split on commas and on any whitespace ``str.split`` knows, and blank
+lines and lines whose first token starts with ``#`` or ``%`` are dropped.
+ASCII text broken only by ``\\n`` or ``\\r\\n``, whose data rows hold nothing
+but digits, spaces, tabs and commas in tokens of at most 18 digits, is
+tokenized from its bytes in numpy; any other text goes through Python strings.
+Both routes yield the same tokens.  Under ``fmt="auto"``:
 
 1. a ``%%MatrixMarket`` banner (or ``fmt="mtx"``) means MatrixMarket: a
    ``rows cols nnz`` line, nnz 1-based ``i j [value]`` rows, n = max(rows, cols);
@@ -32,6 +38,7 @@ sized by the CSR, never by ``n``.
 
 from __future__ import annotations
 
+import ctypes
 import gzip
 import os
 import zlib
@@ -41,6 +48,12 @@ from itertools import compress
 import numpy as np
 
 FORMATS = ("auto", "edgelist", "canonical", "mtx")
+
+try:  # glibc's; elsewhere the C heap is left as its allocator keeps it
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, AttributeError, TypeError):
+    _malloc_trim = None
 
 
 class GraphParseError(ValueError):
@@ -258,7 +271,18 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     """Parse graph text in one of ``FORMATS``, by the rules of the module docstring."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format hint {fmt!r}")
-    first, tok, widths, lineno = _tokenize(text)
+    g = _parse_tokens(fmt, *_tokenize(text.removeprefix("\ufeff")))
+    # The tokens and the parse's scratch arrays, tens of MB on a large input,
+    # are free now.  glibc keeps freed heap pages resident below any block
+    # still live above them, so without a trim whether a parse leaves that
+    # memory resident turns on where one small block happened to land, and a
+    # later peak moves with it from one input to the next.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    return g
+
+
+def _parse_tokens(fmt, first, tok, widths, lineno) -> Graph:
     if fmt == "mtx" or first[:1] == ["%%MatrixMarket"]:
         return _parse_mtx(first, tok, widths, lineno)
     if not len(widths):
@@ -272,6 +296,11 @@ def _tokenize(text: str):
     """(first non-blank line's tokens, the data rows' tokens as one array, each
     data row's width and line number); data rows are not blank or ``#``/``%``
     lines.  The array is int64 when every token is an integer, else str."""
+    return _byte_tokens(text) or _str_tokens(text)
+
+
+def _str_tokens(text: str):
+    """``_tokenize`` for any text, through Python strings."""
     lines = text.replace(",", " ").splitlines()
     first = next(filter(None, map(str.split, lines)), [])
     keep = [line.lstrip()[:1] not in "#%" for line in lines]  # "" (blank) is in "#%"
@@ -286,6 +315,70 @@ def _tokenize(text: str):
         except (ValueError, OverflowError):  # a stray "-", or past int64
             pass
     return first, np.array(flat, dtype=str), widths, lineno
+
+
+# Byte classes of the numeric route.  _BREAK holds the ASCII line breaks of
+# str.splitlines other than \n and \r\n; _MARK and _ODD bytes may stand only
+# in comment lines.
+_DIGIT, _SEP, _LF, _CR, _BREAK, _MARK, _ODD = range(7)
+_BYTE_CLASS = np.full(256, _ODD, dtype=np.uint8)
+for _chars, _cls in [(b"0123456789", _DIGIT), (b" \t,", _SEP), (b"\n", _LF),
+                     (b"\r", _CR), (b"\v\f\x1c\x1d\x1e", _BREAK), (b"#%", _MARK)]:
+    _BYTE_CLASS[list(_chars)] = _cls
+
+
+def _byte_tokens(text: str):
+    r"""``_tokenize`` in numpy, or None when the text needs ``_str_tokens``.
+
+    Applies to ASCII text broken only by \n or \r\n whose data rows hold
+    digits, spaces, tabs and commas alone, in tokens of at most 18 digits.
+    Tokens are then the digit runs, and a line is a comment when its first
+    byte that is not a space, tab or comma is ``#`` or ``%``.
+    """
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    cls = _BYTE_CLASS[b]
+    cr = np.flatnonzero(cls == _CR)
+    # a \r must precede \n; a final \r is clamped to read itself
+    if (cls == _BREAK).any() or (b[np.minimum(cr + 1, len(b) - 1)] != 10).any():
+        return None
+    lf = np.flatnonzero(cls == _LF)  # line r ends at lf[r], the last at len(b)
+    digit = np.zeros(len(b) + 2, dtype=bool)
+    np.equal(cls, _DIGIT, out=digit[1:-1])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[::2], bounds[1::2]  # digit run i is b[starts[i]:ends[i]]
+    cum = np.concatenate([[0], np.searchsorted(starts, lf), [len(starts)]])
+    wid = np.diff(cum)  # line r holds runs cum[r]:cum[r + 1]
+    odd = np.flatnonzero(cls >= _MARK)
+    del cls, digit
+    line = np.searchsorted(lf, odd)
+    head = np.diff(line, prepend=-1) != 0  # the first odd byte of its line
+    odd, line = odd[head], line[head]
+    # so each such line must be a comment: that byte is # or %, no run before it
+    if ((_BYTE_CLASS[b[odd]] != _MARK).any()
+            or (np.searchsorted(starts, odd) > cum[line]).any()):
+        return None
+    uncommented = np.ones(len(wid), dtype=bool)
+    uncommented[line] = False
+    keep = np.repeat(uncommented, wid)
+    starts, ends = starts[keep], ends[keep]
+    wid[line] = 0
+    if not len(starts):
+        return None  # no data rows: the str route's (empty) outcome is cheap
+    lens = ends - starts
+    if lens.max() > 18:
+        return None
+    rows = np.flatnonzero(wid)
+    r = min(rows[:1].tolist() + line[:1].tolist())  # the first non-blank line
+    lo, hi = (lf[r - 1] + 1 if r else 0), (lf[r] if r < len(lf) else len(b))
+    first = text[lo:hi].replace(",", " ").split()
+    tok = np.zeros(len(starts), dtype=np.int64)
+    for j in range(lens.max()):  # add each run's j-th digit from the right, times 10**j
+        d = b[ends - 1 - j].astype(np.int64) - 48  # index -1 only where masked
+        d[lens <= j] = 0
+        tok += d * 10**j
+    return first, tok, wid[rows], rows + 1
 
 
 def _naturals(tokens) -> list[int] | None:
@@ -343,7 +436,9 @@ def _parse_edgelist(tok, widths, lineno) -> Graph:
     _fail_first(lineno, [(widths != 2, "expected two labels")])
     labels, first, inverse = np.unique(tok, return_index=True, return_inverse=True)
     order = np.argsort(first)  # dense ids by first appearance
-    ids = np.argsort(order)[inverse].reshape(-1, 2)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse].reshape(-1, 2)
     _fail_first(lineno, [(ids[:, 0] == ids[:, 1], "self-loop")])
     return from_edges(ids, n=len(labels), labels=labels[order].tolist())
 
@@ -370,12 +465,12 @@ def _parse_mtx(banner, tok, widths, lineno) -> Graph:
 
 def decode_graph_bytes(data: bytes, source) -> str:
     """Graph file bytes as text: gunzipped when they start with the gzip magic
-    bytes, then strict UTF-8.  Anything else raises GraphParseError naming
-    ``source``."""
+    bytes, then strict UTF-8 less one leading byte-order mark.  Anything else
+    raises GraphParseError naming ``source``."""
     try:
         if data[:2] == b"\x1f\x8b":
             data = gzip.decompress(data)
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise GraphParseError(f"{source}: not gzip or UTF-8 text ({exc})") from None
 

@@ -1,14 +1,15 @@
 """The bulk reader: detection rules, regression cases and round-trip properties."""
 
 import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlets import GraphParseError, from_edges, load_graph, parse_graph, serialize
-from graphlets.graph import FORMATS
+from graphlets import GraphParseError, from_edges, graph, load_graph, parse_graph, serialize
+from graphlets.graph import FORMATS, decode_graph_bytes
 
 MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n"
 
@@ -133,6 +134,104 @@ def test_undecodable_input_is_a_parse_error(tmp_path):
     broken.write_bytes(gzip.compress(b"0 1\n")[:12])
     with pytest.raises(GraphParseError):
         load_graph(broken)
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # once read as a label: the header became an edge, "\ufeff1" a vertex
+    g = parse_graph(decode_graph_bytes("\ufeff3 2\n0 1\n1 2\n".encode(), "x"))
+    assert (g.n, g.m, g.labels) == (3, 2, None)
+    g = parse_graph("\ufeff1 2\n2 1\n3 1\n")
+    assert g.labels == [1, 2, 3]
+    path = tmp_path / "bom.gz"
+    path.write_bytes(gzip.compress("\ufeff0 1\n1 2\n".encode()))
+    assert load_graph(path).labels == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer's byte route (numeric ASCII text) agrees with its str route
+
+
+def outcome(text, fmt):
+    """What parse_graph makes of text: the graph, labels typed, or the error."""
+    try:
+        g = parse_graph(text, fmt=fmt)
+    except ValueError as exc:  # GraphParseError, or an n past int32
+        return type(exc).__name__, str(exc), getattr(exc, "lineno", None)
+    labels = g.labels and [(type(x), x) for x in g.labels]
+    return g.n, g.indptr.tolist(), g.indices.tolist(), g.edges.tolist(), labels
+
+
+def routes_agree(text, fmt="auto") -> bool:
+    """Assert both routes give one outcome; True when the byte route applies."""
+    with mock.patch.object(graph, "_tokenize", graph._str_tokens):
+        want = outcome(text, fmt)
+    assert outcome(text, fmt) == want
+    tokens = graph._byte_tokens(text)
+    if tokens is None:
+        return False
+    first, *arrays = graph._str_tokens(text)
+    assert tokens[0] == first
+    for got, ref in zip(tokens[1:], arrays):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    return True
+
+
+@pytest.mark.parametrize("text, byte_route", [
+    ("0 1\n# c 5 6\n1 2\n\n% d\n2 0", True),  # comments between rows, no final \n
+    (",# x\n0 1\r\n1 2\r\n", True),  # ",# x" is a comment
+    ("1#2\n0 1\n", False),  # "1#2" is one token, not a comment
+    ("3 2\n0 1\n1 2 3\n", True),
+    ("0 123456789012345678\n", True),  # 18 digits
+    ("0 1234567890123456789\n", False),  # 19 digits
+    ("-1 2\n", False),
+    ("0 1\r1 2\n", False),
+    ("0 1\x0b1 2\n", False),
+    ("0 1\n\x1f\n", False),
+    ("0 1\n1 2\u2028", False),
+    ("# only a comment\n", False),
+    (MTX + "3 3 2\n2 1\n3 1\n", True),
+])
+def test_routes_agree_on(text, byte_route):
+    assert routes_agree(text) is byte_route
+    assert routes_agree(text, "edgelist") is byte_route
+
+
+def test_comment_rows_keep_their_line_numbers():
+    g = parse_graph("0 1\n# c 5 6\n1 2\n\n% d\n2 0")
+    assert (g.m, g.labels) == (3, [0, 1, 2])
+    assert parse_error("0 1\n# c\n,% d\n1 2 3\r\n").lineno == 4
+
+
+DIGITS = st.sampled_from([17, 18, 19]).flatmap(  # 18 to 20 digits
+    lambda k: st.integers(10**k, 10**(k + 1) - 1)).map(str)
+TOKEN = st.one_of(st.integers(0, 5).map(str), st.sampled_from(["00", "007"]),
+                  st.integers(0, 10**6).map(str), DIGITS)
+SEP = st.sampled_from([" ", "\t", ",", " ,\t"])
+LINE = st.one_of(
+    st.tuples(TOKEN, SEP, TOKEN).map("".join),
+    st.lists(st.one_of(TOKEN, SEP), max_size=4).map("".join),
+    st.sampled_from(["", "# c 1", "% 2", ",# x", "\t#", "1#2", MTX.strip()]),
+)
+HOSTILE = st.sampled_from(["\r", "-", "a", "Z", "#", "%", "\x0b", "\x0c", "\x1c", "\x1d",
+                           "\x1e", "\x1f", "\x85", "\xa0", "\u2028"])
+
+
+@st.composite
+def graph_texts(draw):
+    lines = draw(st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n"])), max_size=10))
+    text = "".join(line + eol for line, eol in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line with no line break
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(HOSTILE) + text[i:]
+    return text
+
+
+@settings(max_examples=300)
+@given(graph_texts(), st.sampled_from(FORMATS))
+def test_byte_and_str_routes_agree(text, fmt):
+    routes_agree(text, fmt)
 
 
 # ---------------------------------------------------------------------------
