@@ -32,7 +32,7 @@ import numpy as np
 
 from . import patterns
 from .graph import Graph
-from .local import VertexMarker, edge_tallies, isum, scan_edge
+from .local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
@@ -192,21 +192,19 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
     ``with_sq``, over the (edge id, level) ``rows`` at that level, whose
     inclusion is ``inclusions[level]``.
 
-    The per-edge loop only scans for (t, K_e, C_e); the tallies and their
-    scaled contributions are then evaluated a chunk of edges at a time.  The
-    squares go through Python ints: z reaches about 6 r^2, so z^2 overflows
-    int64 once r passes about 22,600.
+    ``local.ZoneKernel`` gives (t, K_e, C_e) for a chunk of edges at a time, and
+    their tallies and scaled contributions are evaluated together.  The squares go
+    through Python ints: z reaches about 6 r^2, so z^2 overflows int64 past r = 22,600.
     """
-    marker = VertexMarker(g.n)
+    kernel = zone_kernel(g)
     counts = [[0] * 17 for _ in inclusions]
     sq = [[0] * 17 for _ in inclusions]
     for i in range(0, len(rows), CHUNK):
         ids, level = rows[i:i + CHUNK].T
         ends = g.edges[ids].astype(np.int64)
         du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
-        scans = [scan_edge(g, u, v, marker) for u, v in ends.tolist()]
-        t, k4, cyc = np.array(scans, dtype=np.int64).T
-        c = edge_tallies(t, k4, cyc, du, dv, g.n, g.m)
+        t, M, _ = kernel.tallies(ends)
+        c = edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m)
         for q in np.unique(level).tolist():
             at = level == q
             cq = [x[at] for x in c]
@@ -266,6 +264,7 @@ def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions:
     ends = g.edges[ids]
     hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)  # d(u) + d(v)
     rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
+    zone_kernel(g)  # built here, so forked workers share its up-lists
     parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
                           rows, workers)
     return [reduce(UnrestrictedAccumulator.merge, accs) for accs in zip(*parts)]

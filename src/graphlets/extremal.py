@@ -32,7 +32,8 @@ class ExtremalResult:
 
 def _best_over(kernel: MicroKernel, ids, pid: int) -> tuple[int, int]:
     """(largest count, -edge id) over ``ids``: ties go to the smaller id."""
-    return max((kernel.counts(int(e)).x[pid - 1], -int(e)) for e in ids)
+    col = kernel.column(ids, pid)
+    return int(col.max()), -int(ids[col == col.max()].min())
 
 
 def max_per_edge(

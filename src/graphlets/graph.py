@@ -27,8 +27,8 @@ Both routes yield the same tokens.  Under ``fmt="auto"``:
 
 Every format rejects self-loops at their line and allows m = 0.
 
-Two derived structures are built on first use and cached on the ``Graph``:
-``core_numbers()`` and ``up_lists()``.  The up-lists orient every edge from
+``core_numbers()``, ``up_lists()`` and ``local.zone_kernel`` are built on
+first use and cached on the ``Graph``.  The up-lists orient every edge from
 its lower- to its higher-ranked end by (degree, id), the rank of
 ``wholegraph`` (Chiba and Nishizeki 1985): vertex w's list holds its
 neighbors ranked above w, in id order, so the lists hold each edge once and
@@ -79,6 +79,7 @@ class Graph:
     _core: np.ndarray | None = field(default=None, repr=False, compare=False)
     _up: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
                                                       compare=False)
+    _zones: object = field(default=None, repr=False, compare=False)  # local.zone_kernel
 
     def __post_init__(self):
         _check_n(self.n)
@@ -140,12 +141,10 @@ class Graph:
         """(offsets, ids) of each vertex's neighbors ranked above it; cached."""
         if self._up is None:
             deg = self.degrees
-            src = np.repeat(np.arange(len(deg)), deg)
-            dst = self.indices
-            above = (deg[dst] > deg[src]) | ((deg[dst] == deg[src]) & (dst > src))
-            offsets = np.zeros(len(deg) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src[above], minlength=len(deg)), out=offsets[1:])
-            self._up = offsets, dst[above].astype(np.int32)
+            rank = deg * len(deg) + np.arange(len(deg))  # (degree, id) order
+            above = rank[self.indices] > np.repeat(rank, deg)
+            offsets = np.concatenate([[0], np.cumsum(above)])[self.indptr]
+            self._up = offsets, self.indices[above]
         return self._up
 
     def edge_core(self) -> np.ndarray:
@@ -434,13 +433,24 @@ def _parse_canonical(tok, widths, lineno) -> Graph:
 
 def _parse_edgelist(tok, widths, lineno) -> Graph:
     _fail_first(lineno, [(widths != 2, "expected two labels")])
-    labels, first, inverse = np.unique(tok, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # dense ids by first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ids = rank[inverse].reshape(-1, 2)
-    _fail_first(lineno, [(ids[:, 0] == ids[:, 1], "self-loop")])
-    return from_edges(ids, n=len(labels), labels=labels[order].tolist())
+    labels, ids = _first_appearance_ids(tok)
+    _fail_first(lineno, [(ids[::2] == ids[1::2], "self-loop")])
+    return from_edges(ids.reshape(-1, 2), n=len(labels), labels=labels.tolist())
+
+
+def _first_appearance_ids(tok: np.ndarray):
+    """(distinct tokens by first appearance, each token's index among them), from
+    one unstable sort: a run of equal tokens first appears at its least position."""
+    order = np.argsort(tok)
+    ranked = tok[order]
+    head = np.r_[True, ranked[1:] != ranked[:-1]][:len(tok)]
+    heads = np.flatnonzero(head)
+    by_first = np.argsort(np.minimum.reduceat(order, heads))
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(heads))
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(head) - 1]
+    return ranked[heads[by_first]], ids
 
 
 def _parse_mtx(banner, tok, widths, lineno) -> Graph:

@@ -1,16 +1,16 @@
 """Edge-local neighborhood decomposition and unrestricted tallies.
 
-For an edge e = (u, v) the remaining vertices split into four zones:
-
-* ``T``   common neighbors of u and v,
-* ``S_u`` neighbors of u only, ``S_v`` neighbors of v only,
-* the far zone of size ``r = n - |T| - |S_u| - |S_v| - 2`` (adjacent to
-  neither endpoint).
-
-``scan_edge`` finds t = |T|, the 4-cliques K_e (one scan over T) and the
-4-cycles C_e (one scan over the smaller exclusive zone).  ``edge_tallies``
-turns those and the endpoint degrees into the 17 unrestricted tallies; it is
-the one statement of those relations, for one edge or for arrays of edges.
+For an edge e = (u, v) the other vertices fall in four zones: T (common
+neighbors), S_u and S_v (neighbors of u only, of v only) and the r far ones.
+``ZoneKernel`` marks, for a batch of up to 31 edges, each vertex's int64 word
+with two bits per edge, "in N(u)" and "in N(v)": their code is the vertex's
+zone, 3 for T, 2 for S_u, 1 for S_v, 0 for far and the endpoints.  Each zone
+member's up-list (``Graph.up_lists``) is read once, and one bincount of (edge,
+zone of the source, code of the target) gives every edge's 4x4 matrix M of
+adjacent zone pairs, each pair seen once, from its lower-ranked end: the
+4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] + M[S_v][S_u].
+``edge_tallies`` turns those and the endpoint degrees into the 17 unrestricted
+tallies, for one edge or for arrays of edges.
 """
 
 from __future__ import annotations
@@ -21,33 +21,23 @@ import numpy as np
 
 from .graph import Graph, resolve_edge
 
-_EMPTY = np.empty(0, dtype=np.int32)
-
-# zone codes added onto the per-call generation stamp
+# zone codes: a vertex's two mark bits for one edge (u, v), "in N(u)" the high one
 _SV, _SU, _T = 1, 2, 3
+EDGES = 31  # edges per batch: two mark bits each in one int64 word
+BUDGET = 1 << 17  # gathered neighbor entries per batch: bounds its working set
 
 
 class VertexMarker:
-    """Generation-stamped vertex marks: O(1) reset, no per-edge clearing.
-
-    A mark is ``gen + code`` where ``gen`` jumps by a fixed stride per
-    ``fresh()`` call, so stale stamps from earlier edges can never collide
-    with live codes.
-    """
+    """A generation counter kept for callers that pass a marker; nothing reads it."""
 
     STRIDE = 8
 
     def __init__(self, n: int):
-        self.marks = np.zeros(n, dtype=np.int64)
-        self.gen = 0
+        self.n, self.gen = n, 0
 
     def fresh(self) -> int:
         self.gen += self.STRIDE
         return self.gen
-
-    def code(self, verts: np.ndarray) -> np.ndarray:
-        """Live code per vertex (0 when unmarked this generation)."""
-        return np.maximum(self.marks[verts] - self.gen, 0)  # stale marks are <= gen
 
 
 @dataclass
@@ -67,8 +57,6 @@ def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
     lens = offsets[verts + 1] - starts
     heads = np.cumsum(lens) - lens  # where each list lands in the output
     total = int(heads[-1] + lens[-1]) if len(lens) else 0
-    if total == 0:
-        return _EMPTY, lens
     return ids[np.repeat(starts - heads, lens) + np.arange(total)], lens
 
 
@@ -77,50 +65,78 @@ def _flat_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     return _gather(g.indptr, g.indices, verts)[0]
 
 
-def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker) -> EdgeLocal:
-    """Split V \\ {u, v} into the T / S_u / S_v / far zones, marking them.
-
-    On return the marker holds live stamps for T, S_u, S_v (codes 3, 2, 1);
-    u and v themselves carry no live mark.
-    """
-    gen = marker.fresh()
-    marks = marker.marks
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    marks[nv] = gen + _SV
-    marks[u] = gen  # u appears in nv; neutralize before any scan
-    mu = marks[nu]
-    T = nu[mu == gen + _SV]
-    S_u = nu[(mu != gen + _SV) & (nu != v)]
-    marks[T] = gen + _T
-    marks[S_u] = gen + _SU
-    S_v = nv[(marks[nv] == gen + _SV) & (nv != u)]
-    far = g.n - len(T) - len(S_u) - len(S_v) - 2
-    return EdgeLocal(u=u, v=v, T=T, S_u=S_u, S_v=S_v, far=far)
+def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) -> EdgeLocal:
+    """Split V \\ {u, v} into the T / S_u / S_v / far zones; ``marker`` goes unused."""
+    kernel = zone_kernel(g)
+    nbrs, src, cell = kernel._mark(np.array([[u, v]]))
+    kernel.words[nbrs] = 0
+    T, S_u, S_v = (src[cell == z] for z in (_T, _SU, _SV))
+    return EdgeLocal(u=u, v=v, T=T, S_u=S_u, S_v=S_v, far=g.n - len(src) - 2)
 
 
-def clique_count(g: Graph, local: EdgeLocal, marker: VertexMarker) -> int:
-    """Number of 4-cliques containing the edge: adjacent pairs within T."""
-    if len(local.T) < 2:
-        return 0
-    hits = marker.marks[_flat_neighbors(g, local.T)] == marker.gen + _T
-    return int(np.count_nonzero(hits)) // 2  # each pair is seen from both sides
+class ZoneKernel:
+    """Mark words and up-lists of one graph.  The n words are zero between
+    batches, so their untouched pages cost no RSS; ``reach[x]``, the sum over
+    N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x."""
+
+    def __init__(self, g: Graph):
+        self.g, self.up, self.deg = g, g.up_lists(), g.degrees
+        self.words = np.zeros(g.n, dtype=np.int64)
+        run = np.concatenate([[0], np.cumsum(1 + np.diff(self.up[0])[g.indices])])
+        self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]
+
+    def tallies(self, ends: np.ndarray, sample=None):
+        """(t, M, D) over the edges (u, v) in ``ends``: common neighbors, adjacent
+        zone pairs M[zone of the lower-ranked end][zone of the other] and zone degree
+        sums D[zone], each an array over the edges.  ``sample(lens)``, for one edge,
+        picks and weights its up-list entries, read in the order T, S_u, S_v."""
+        work = np.cumsum(self.reach[ends].sum(axis=1))
+        parts, lo = [], 0
+        while lo < len(ends) or not parts:
+            cut = np.searchsorted(work, (work[lo - 1] if lo else 0) + BUDGET, side="right")
+            hi = min(lo + EDGES, max(lo + 1, int(cut)))
+            parts.append(self._batch(ends[lo:hi], sample))
+            lo = hi
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+
+    def _mark(self, ends):
+        """Mark a batch; (entries to clear, its sources, 4 * edge + zone of each)."""
+        g, B = self.g, len(ends)
+        ends = ends.T.ravel()  # u_0 .. u_B-1, v_0 .. v_B-1
+        shift = np.arange(2 * B) % B * 2
+        nbrs, lens = _gather(g.indptr, g.indices, ends)
+        at = np.repeat(shift, lens)
+        # no vertex is twice in one list, so the bits added are distinct: adding sets them
+        np.add.at(self.words, nbrs, np.repeat(np.repeat([_SU, _SV], B) << shift, lens))
+        np.bitwise_and.at(self.words, ends, ~(_T << shift))  # endpoints are in no zone
+        code = (self.words[nbrs] >> at) & 3
+        split = int(lens[:B].sum())  # sources: N(u) less v, and N(v) in S_v alone
+        keep = np.concatenate([code[:split] != 0, code[split:] == _SV])
+        return nbrs, nbrs[keep], (at[keep] << 1) + code[keep]
+
+    def _batch(self, ends, sample):
+        B = len(ends)
+        nbrs, src, cell = self._mark(ends)
+        order = np.argsort(-cell, kind="stable") if sample else slice(None)
+        src, cell = src[order], cell[order]
+        t = np.bincount(cell, minlength=4 * B)[_T::4]
+        # each sum is at most 2m < 2**53, so the float bincount is exact
+        D = np.bincount(cell, self.deg[src], 4 * B).astype(np.int64)
+        up, lens = _gather(*self.up, src)
+        key = np.repeat(cell << 2, lens)  # 16 * edge + 4 * zone, plus the target's code
+        key += (self.words[up] >> ((key >> 4) << 1)) & 3
+        # exact counts keep every entry unweighted, so their bincount stays integer
+        picked, weights = sample(lens) if sample else (slice(None), None)
+        self.words[nbrs] = 0
+        M = np.bincount(key[picked], weights, 16 * B).reshape(B, 4, 4)
+        return t, M.transpose(1, 2, 0), D.reshape(B, 4).T
 
 
-def cycle_count(g: Graph, local: EdgeLocal, marker: VertexMarker) -> int:
-    """Number of 4-cycles containing the edge: S_u -- S_v adjacencies."""
-    if len(local.S_u) == 0 or len(local.S_v) == 0:
-        return 0
-    # scan the smaller side; each cross pair is seen exactly once
-    side, other = (local.S_u, _SV) if len(local.S_u) <= len(local.S_v) else (local.S_v, _SU)
-    hits = marker.marks[_flat_neighbors(g, side)] == marker.gen + other
-    return int(np.count_nonzero(hits))
-
-
-def scan_edge(g: Graph, u: int, v: int, marker: VertexMarker) -> tuple[int, int, int]:
-    """(t, K_e, C_e) of edge (u, v): its common neighbors, 4-cliques and 4-cycles."""
-    local = classify_edge(g, u, v, marker)
-    return len(local.T), clique_count(g, local, marker), cycle_count(g, local, marker)
+def zone_kernel(g: Graph) -> ZoneKernel:
+    """The graph's one ``ZoneKernel``, built on first use."""
+    if g._zones is None:
+        g._zones = ZoneKernel(g)
+    return g._zones
 
 
 def edge_tallies(t, k4, cyc, du, dv, n, m) -> tuple:
@@ -157,8 +173,7 @@ def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tupl
 
     All values are plain Python ints (exact at any scale).
     """
-    if marker is None:
-        marker = VertexMarker(g.n)
-    u, v = resolve_edge(g, e)
-    t, k4, cyc = scan_edge(g, u, v, marker)
-    return edge_tallies(t, k4, cyc, g.degree(u), g.degree(v), g.n, g.m)
+    u, v = resolve_edge(g, e)  # ``marker`` goes unused: the zone kernel keeps its own marks
+    t, M, _ = (a[..., 0].tolist() for a in zone_kernel(g).tallies(np.array([[u, v]])))
+    return edge_tallies(t, M[_T][_T], M[_SU][_SV] + M[_SV][_SU], g.degree(u), g.degree(v),
+                        g.n, g.m)

@@ -6,28 +6,22 @@ endpoint-missing patterns (ids 2, 6, 17) are always zero and id 1 is always
 one.  Summed over all edges, each count equals the global count times the
 pattern's edge multiplicity (patterns.EDGE_COUNTS).
 
-The kernel takes the zones from ``local.classify_edge``: common T, exclusive
-S_u and S_v, and far.  It needs seven adjacent zone-pair tallies, a_tt, a_ts,
-a_tf, a_uu, a_vv, a_uv and a_sf.  The slots are the unrestricted tallies of
-``local.edge_tallies`` with each adjacent pair moved to the pattern it
-completes.
-
-The kernel scans only the up-lists (``Graph.up_lists``) of T, S_u and S_v,
-so an adjacent pair inside those zones is read once, from its lower-ranked
-end.  One ``np.bincount`` of (zone of the lower end, code of the upper end)
-gives a_tt, a_uu and a_vv on its diagonal, and a_ts and a_uv as a cell plus
-its transpose.  The far tallies follow from the degree sums D_T = sum over T
-of d(w) and D_S = the same over S_u and S_v:
+``local.ZoneKernel`` gives t, the adjacent zone pairs M among T, S_u and S_v
+(each read once, from its lower-ranked end) and the zone degree sums D_T and
+D_S (over S_u and S_v).  M holds a_tt, a_uu and a_vv on its diagonal and a_ts
+and a_uv as a cell plus its transpose; the far tallies follow:
 
     a_tf = D_T - 2t - 2 a_tt - a_ts
     a_sf = D_S - |S_u| - |S_v| - 2 (a_uu + a_vv) - a_ts - 2 a_uv
 
-Exact counts (p_e = 1) are integer arithmetic throughout, so they are exact
-at any n.  Neighbor-sampled counts (p_e < 1) keep ceil(d * p_e) random
-entries of each gathered up-list of d entries and weight each kept entry by
-d / ceil(d * p_e) in the same bincount.  Every tally, and every slot, is
-linear in those cells, so each is unbiased.  No clamp is applied, so a
-sampled count can come out negative when its true value is small.
+The slots are the unrestricted tallies of ``local.edge_tallies`` with each
+adjacent pair moved to the pattern it completes, in int64 arrays over many
+edges: every term is below C(n, 2) < 2**61, so exact counts are exact for
+every n a ``Graph`` holds.  Neighbor-sampled counts (p_e < 1) take one edge
+at a time and keep ceil(d * p_e) random entries of each up-list of d entries,
+weighted by d / ceil(d * p_e) in the same bincount.  Every slot is linear in
+those cells, so each is unbiased; no clamp is applied, so a sampled count can
+come out negative when its true value is small.
 """
 
 from __future__ import annotations
@@ -37,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, VertexMarker, _gather, classify_edge, edge_tallies
+from .local import _SU, _SV, _T, edge_tallies, zone_kernel
 
-_ZONES = np.array([_T, _SU, _SV])  # zone codes in the order T, S_u, S_v
+CHUNK = 4096  # edges per kernel call: bounds the per-edge arrays
 
 
 @dataclass
@@ -62,41 +56,46 @@ class MicroEstimate:
 
 
 class MicroKernel:
-    """Reusable per-edge counting state for one graph: vertex marks and the
-    graph's up-lists, both built here, once."""
+    """Per-edge counts on one graph, from its ``local.zone_kernel``: mark
+    words and up-lists, both built on first use, once."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self._marker = VertexMarker(g.n)
-        self._up = g.up_lists()
+        self._zones = zone_kernel(g)
 
     def counts(self, edge, p_e: float = 1.0, rng=None) -> MicroEstimate:
         if not (0 < p_e <= 1):
             raise ValueError(f"p_e must be in (0, 1], got {p_e}")
-        g = self.g
-        u, v = resolve_edge(g, edge)
-        local = classify_edge(g, u, v, self._marker)
-        t, su, sv, r = len(local.T), len(local.S_u), len(local.S_v), local.far
-        exact = p_e >= 1.0
-        src = np.concatenate([local.T, local.S_u, local.S_v])
-        nbrs, lens = _gather(*self._up, src)
-        keys = np.repeat(np.repeat(_ZONES * 4, (t, su, sv)), lens)
-        weights = None  # unweighted, the bincount stays integer: exact counts are ints
-        if not exact:
-            picked, weights = _subsample(lens, p_e, rng)
-            nbrs, keys = nbrs[picked], keys[picked]
-        keys += self._marker.code(nbrs)
-        M = np.bincount(keys, weights=weights, minlength=16).reshape(4, 4).tolist()
-        deg = g.indptr[src + 1] - g.indptr[src]
-        d_t, d_s = int(deg[:t].sum()), int(deg[t:].sum())
+        u, v = resolve_edge(self.g, edge)
+        sample = None if p_e >= 1.0 else (lambda lens: _subsample(lens, p_e, rng))
+        x = self._slots(np.array([[u, v]]), sample)
+        if sample:
+            x[1] = x[5] = x[16] = 0.0
+        su = self.g.degree(u) - 1 - x[2]
+        return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(x[2], su, x[3] - su, x[4]))
 
+    def column(self, ids, pattern_id: int) -> np.ndarray:
+        """Exact counts of one pattern at each edge of ``ids``, as int64."""
+        ends = self.g.edges[np.asarray(ids, dtype=np.int64)]
+        return np.hstack([self._slots(ends[i:i + CHUNK])[pattern_id - 1]
+                          for i in range(0, max(len(ends), 1), CHUNK)])
+
+    def _slots(self, ends: np.ndarray, sample=None) -> list:
+        """The 17 slots of the edges ``ends``: int64 arrays, float64 where
+        sampled; of one edge, Python numbers, which cost less than arrays."""
+        g = self.g
+        t, M, D = self._zones.tallies(ends, sample)
+        du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
+        if len(ends) == 1:
+            t, M, D, du, dv = (a[..., 0].tolist() for a in (t, M, D, du, dv))
+        su, sv = du - 1 - t, dv - 1 - t
         a_tt, a_uu, a_vv = M[_T][_T], M[_SU][_SU], M[_SV][_SV]
         a_ts = M[_T][_SU] + M[_SU][_T] + M[_T][_SV] + M[_SV][_T]
         a_uv = M[_SU][_SV] + M[_SV][_SU]
-        a_tf = d_t - 2 * t - 2 * a_tt - a_ts
-        a_sf = d_s - su - sv - 2 * (a_uu + a_vv) - a_ts - 2 * a_uv
         a_ss = a_uu + a_vv
-        x = list(edge_tallies(t, a_tt, a_uv, g.degree(u), g.degree(v), g.n, g.m))
+        a_tf = D[_T] - 2 * t - 2 * a_tt - a_ts
+        a_sf = D[_SU] + D[_SV] - su - sv - 2 * a_ss - a_ts - 2 * a_uv
+        x = list(edge_tallies(t, a_tt, a_uv, du, dv, g.n, g.m))
         a_ff = x[15] - (a_tt + a_ts + a_ss + a_uv) - (a_tf + a_sf)
         x[7] = x[7] - a_tt + a_ts
         x[8] = x[8] - a_ts + a_tf + a_ss
@@ -104,9 +103,7 @@ class MicroKernel:
         x[11] = x[11] - a_uv + a_sf
         x[12], x[13] = x[13] - a_tf, x[12] - a_sf
         x[14], x[15] = a_ff, x[14] - a_ff
-        if not exact:
-            x[1] = x[5] = x[16] = 0.0
-        return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(t, su, sv, r))
+        return x
 
 
 def _subsample(lens: np.ndarray, p_e: float, rng):
@@ -132,12 +129,10 @@ def micro_counts(g: Graph, edge, p_e: float = 1.0, seed: int = 0) -> MicroEstima
 
 def univariate_stats(g: Graph, pattern_id: int, p_e: float = 1.0, seed: int = 0) -> dict:
     """Five-number summary plus mean/std of one pattern's per-edge counts."""
-    kernel = MicroKernel(g)
-    rng = np.random.default_rng(seed) if p_e < 1.0 else None
-    vals = np.array(
-        [kernel.counts(e, p_e=p_e, rng=rng).x[pattern_id - 1] for e in range(g.m)],
-        dtype=np.float64,
-    )
+    kernel, rng = MicroKernel(g), np.random.default_rng(seed)
+    vals = np.array(kernel.column(np.arange(g.m), pattern_id) if p_e >= 1.0 else
+                    [kernel.counts(e, p_e=p_e, rng=rng).x[pattern_id - 1] for e in range(g.m)],
+                    dtype=np.float64)
     if not len(vals):
         raise ValueError("no edges to summarize")
     q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])

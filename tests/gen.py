@@ -63,3 +63,14 @@ def named_graphs() -> dict[str, Graph]:
         "two_edges": from_edges([(0, 1), (2, 3)]),
         "tailed_triangle": from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]),
     }
+
+
+def suite_graphs() -> dict[str, Graph]:
+    """The named graphs, six ER densities, a power-law graph with ~200-neighbor
+    hubs and a planted 12-clique: the graphs every per-edge route is held to."""
+    graphs = dict(named_graphs())
+    for s in range(6):
+        graphs[f"er{s}"] = gen_er(30, 0.1 + 0.15 * s, s)
+    graphs["power_law"] = gen_power_law(3000, 5.0, 1)
+    graphs["planted"] = planted_clique(60, 0.1, 12, 3)
+    return graphs

@@ -1,12 +1,31 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gen import gen_er
-from graphlets import VertexMarker, classify_edge, from_edges, unrestricted_counts
-from graphlets.local import clique_count, cycle_count, edge_tallies, isum
+from gen import gen_er, suite_graphs
+from graphlets import (
+    AdaptiveConfig,
+    MicroKernel,
+    SampleDesign,
+    VertexMarker,
+    accumulate,
+    adaptive_estimate,
+    classify_edge,
+    confidence_bounds,
+    from_edges,
+    max_per_edge,
+    sample_and_estimate,
+    univariate_stats,
+    unrestricted_counts,
+)
+from graphlets import local, wholegraph
+from graphlets.local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
 from graphlets.oracle import brute_force_edge_counts
+
+SUITE = suite_graphs()
 
 
 def zones_by_sets(g, u, v):
@@ -30,28 +49,28 @@ def test_classify_edge_zones(seed):
         assert loc.far == g.n - len(T) - len(su) - len(sv) - 2
 
 
+def kernel_scan(g, u, v):
+    """(t, K_e, C_e) of edge (u, v) from the zone kernel, one edge per batch."""
+    t, M, _ = zone_kernel(g).tallies(np.array([[u, v]]))
+    return int(t[0]), int(M[_T, _T, 0]), int(M[_SU, _SV, 0] + M[_SV, _SU, 0])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_clique_cycle_marker_vs_bsearch(seed):
     g = gen_er(30, 0.2, seed + 50)
-    marker = VertexMarker(g.n)
     for e in range(g.m):
         u, v = map(int, g.edges[e])
-        loc = classify_edge(g, u, v, marker)
         ref = brute_force_edge_counts(g, e)
-        assert clique_count(g, loc, marker) == ref[6]  # 4-cliques at e
-        assert cycle_count(g, loc, marker) == ref[9]  # induced 4-cycles at e
+        # 4-cliques and induced 4-cycles at e
+        assert kernel_scan(g, u, v)[1:] == (ref[6], ref[9])
 
 
 def test_clique_cycle_by_hand():
     k4 = from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    marker = VertexMarker(k4.n)
-    loc = classify_edge(k4, 0, 1, marker)
-    assert clique_count(k4, loc, marker) == 1  # {2,3} adjacent pair in T
+    assert kernel_scan(k4, 0, 1) == (2, 1, 0)  # {2,3} adjacent pair in T
 
     c4 = from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-    marker = VertexMarker(c4.n)
-    loc = classify_edge(c4, 0, 1, marker)
-    assert cycle_count(c4, loc, marker) == 1  # 3 in S_u(0) adjacent to 2 in S_v(1)
+    assert kernel_scan(c4, 0, 1) == (0, 0, 1)  # 3 in S_u(0) adjacent to 2 in S_v(1)
 
 
 def test_unrestricted_tuple_shape(named):
@@ -142,3 +161,79 @@ def test_edge_tallies_on_arrays_match_ints(case):
     assert all(type(x) is int for c in want for x in c)
     assert [[int(col[i]) for col in cols] for i in range(len(rows))] == [list(c) for c in want]
     assert [isum(col) for col in cols] == [sum(col) for col in zip(*want)]
+
+
+# ---------------------------------------------------------------------------
+# the one zone kernel, held to the oracle and to the whole-graph pass
+
+
+@pytest.mark.parametrize("name", sorted(n for n, g in SUITE.items() if g.n <= 64))
+def test_kernel_matches_edge_oracle(name):
+    g = SUITE[name]
+    kernel = MicroKernel(g)
+    for e in range(g.m):
+        ref = brute_force_edge_counts(g, e)
+        u, v = map(int, g.edges[e])
+        assert kernel_scan(g, u, v) == (ref[2], ref[6], ref[9]), e  # t, 4-cliques, 4-cycles
+        assert kernel.counts(e).x == ref, e
+
+
+def test_kernel_tallies_sum_to_edge_totals():
+    g = SUITE["power_law"]
+    ends = g.edges.astype(np.int64)
+    t, M, _ = zone_kernel(g).tallies(ends)
+    du, dv = g.degrees[ends].T
+    cols = edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m)
+    assert [isum(c) for c in cols] == wholegraph.edge_totals(g)
+
+
+def split_outputs(g):
+    """Every batched caller's results on g; the mark words are zero after each."""
+    words = zone_kernel(g).words
+    out = []
+
+    def keep(*results):
+        assert not words.any()
+        out.extend(results)
+
+    ids = np.random.default_rng(1).integers(0, g.m, 3 * g.m // 2)  # repeats included
+    acc = accumulate(g, ids, with_sq=True, inclusion=Fraction(1, 3))
+    keep(acc.counts, acc.sq)
+    est = sample_and_estimate(g, SampleDesign(size=g.m // 3, weighting="kcore", seed=2))
+    keep(est.X, est.variance, confidence_bounds(est))
+    res = adaptive_estimate(g, AdaptiveConfig(beta=0.2, seed=3))
+    keep(res.estimate.X, res.trace)
+    keep(max_per_edge(g, "4-cycle"), max_per_edge(g, "4-clique", SampleDesign(p=0.3, seed=4)))
+    stats = univariate_stats(g, 12)
+    keep(stats.pop("values").tolist(), stats)
+    return out
+
+
+@pytest.mark.parametrize("name", ["power_law", "planted", "er3"])
+def test_batch_split_invariance(name, monkeypatch):
+    g = SUITE[name]
+    want = split_outputs(g)
+    for patch in ({"EDGES": 1}, {"BUDGET": 1}, {"BUDGET": 2**40}):
+        with monkeypatch.context() as mp:
+            for key, value in patch.items():
+                mp.setattr(local, key, value)
+            assert split_outputs(g) == want, patch
+
+
+def test_batches_keep_to_the_edge_cap_and_budget(monkeypatch):
+    g = SUITE["power_law"]
+    kernel, batches = zone_kernel(g), []
+    batch = local.ZoneKernel._batch
+
+    def spy(self, ends, sample):
+        batches.append((len(ends), int(self.reach[ends].sum())))
+        return batch(self, ends, sample)
+
+    monkeypatch.setattr(local.ZoneKernel, "_batch", spy)
+    monkeypatch.setattr(local, "BUDGET", 1500)
+    kernel.tallies(g.edges[np.argsort(-g.edge_hardness(), kind="stable")])
+    assert sum(size for size, _ in batches) == g.m
+    # a batch over the budget is one edge alone; reach bounds what a batch gathers
+    assert all(size <= local.EDGES and (work <= 1500 or size == 1) for size, work in batches)
+    assert {size for size, work in batches if work > 1500} == {1}
+    assert max(size for size, _ in batches) == local.EDGES

@@ -1,14 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import gen_er, gen_power_law
+from gen import gen_er, gen_power_law, suite_graphs
 from graphlets import (
     EDGE_COUNTS,
     Graph,
     MicroKernel,
     SampleDesign,
+    accumulate,
     brute_force_counts,
     brute_force_edge_counts,
     exact_counts,
@@ -16,7 +19,9 @@ from graphlets import (
     max_per_edge,
     micro_counts,
     univariate_stats,
+    unrestricted_counts,
 )
+from graphlets.local import zone_kernel
 from graphlets.patterns import EDGE_INCIDENT
 
 
@@ -129,6 +134,23 @@ def test_integer_exact_at_huge_n():
     assert res.x[15] == r * (r - 1) // 2
     assert all(type(val) is int for val in res.x)
     assert [len(a) for a in g.up_lists()] == [3, 1]  # sized by the CSR, not by n
+
+
+def test_batched_routes_exact_at_huge_n():
+    # the same edge through accumulate's and MicroKernel's batches: int64 slot
+    # arithmetic must come back as exact Python ints
+    n = 2 * 10**8
+    g = Graph(n=n, indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32),
+              edges=np.array([[0, 1]]))
+    r = n - 2
+    acc = accumulate(g, [0, 0], inclusion=Fraction(1))
+    assert all(type(val) is int for val in acc.counts)
+    assert acc.counts == [2 * c for c in unrestricted_counts(g, 0)]
+    assert acc.counts[14] == r * (r - 1)
+    x = MicroKernel(g).counts(0).x
+    assert all(type(val) is int for val in x)
+    assert x == micro_counts(g, 0).x and x[15] == r * (r - 1) // 2
+    assert not zone_kernel(g).words[:2].any()
 
 
 def test_hub_scale_multiplicity_and_max():
@@ -277,6 +299,39 @@ def test_sampled_micro_golden():
     for name, e, seed, golden in SAMPLED_GOLDEN:
         x = micro_counts(graphs[name], e, p_e=0.4, seed=seed).x
         assert " ".join(float(val).hex() for val in x) == golden, (name, e, seed)
+
+
+# repr(micro_counts(g, e, p_e=0.4, seed=s).x) on suite edges, recorded from the
+# per-edge kernel before edges were batched: the sampled path runs one edge per
+# batch with its sources in the order T, S_u, S_v, so its draws, its float sums
+# and its int / float slot types stay the same.  "hardest" is the edge of
+# largest d(u) + d(v); triangle_iso's edge gathers no up-list entry at all
+SUITE_SAMPLED_GOLDEN = [
+    ("er3", 5, 1, "[1, 0.0, 7, 14, 7, 0.0, 8.9, 76.03333333333333, 81.35000000000001, 27.9, "
+     "18.983333333333334, 75.33333333333334, 25.733333333333327, 42.766666666666666, "
+     "14.75, 6.25, 0.0]"),
+    ("er3", "hardest", 2, "[1, 0.0, 15, 10, 3, 0.0, 57.33333333333334, 130.33333333333331, "
+     "90.83333333333333, 17.53333333333333, 13.166666666666666, 30.06666666666669, "
+     "28.333333333333343, 7.399999999999977, 2.366666666666646, 0.6333333333333542, 0.0]"),
+    ("planted", "hardest", 3, "[1, 0.0, 12, 11, 35, 0.0, 45.88333333333333, "
+     "32.11666666666667, 166.23333333333335, 2.0, 21.0, 72.0, 377.76666666666665, 341.0, "
+     "68.88333333333334, 526.1166666666667, 0.0]"),
+    ("power_law", "hardest", 4, "[1, 0.0, 32, 317, 2649, 0.0, 62.366666666666674, "
+     "748.2333333333333, 11059.216666666665, 111.0, 25206.85, 26424.1, 83637.33333333333, "
+     "837977.9, 3149.116666666667, 3504126.8833333333, 0.0]"),
+    ("power_law", 1000, 5, "[1, 0.0, 0, 10, 2988, 0.0, 0.0, 0.0, 4.0, 0.0, 17.0, 256.0, "
+     "0.0, 29648.0, 6757.0, 4455821.0, 0.0]"),
+    ("triangle_iso", 0, 6, "[1, 0.0, 1, 0, 1, 0.0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]"),
+]
+
+
+def test_sampled_micro_golden_on_suite_edges():
+    suite = suite_graphs()
+    for name, e, seed, golden in SUITE_SAMPLED_GOLDEN:
+        g = suite[name]
+        if e == "hardest":
+            e = int(np.argmax(g.edge_hardness()))
+        assert repr(micro_counts(g, e, p_e=0.4, seed=seed).x) == golden, (name, e, seed)
 
 
 def test_sampled_micro_deterministic_by_seed():

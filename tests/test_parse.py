@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphlets import GraphParseError, from_edges, graph, load_graph, parse_graph, serialize
@@ -301,3 +301,36 @@ def test_mtx_has_the_header_n(rows, cols, data):
     g = parse_graph(f"{MTX}% a comment\n{rows} {cols} {len(entries)}\n{body}")
     assert g.n == n
     assert g == from_edges(np.array(entries, dtype=np.int64).reshape(-1, 2) - 1, n=n)
+
+
+# ---------------------------------------------------------------------------
+# edge-list labels get dense ids by first appearance from one sort
+
+
+def unique_route(tok):
+    """Labels by first appearance and each token's id, through np.unique."""
+    labels, first, inverse = np.unique(tok, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return labels[order], rank[inverse]
+
+
+@st.composite
+def label_rows(draw):
+    """Rows of two int64 or str labels, drawn from a small pool so they repeat."""
+    label = st.integers(-2**63, 2**63 - 1) if draw(st.booleans()) else st.text(max_size=4)
+    pool = draw(st.lists(label, min_size=1, max_size=12, unique=True))
+    tok = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
+    return np.array(tok[:len(tok) // 2 * 2])
+
+
+@given(label_rows())
+@example(np.array([7, 3]))  # a single row
+@example(np.array(["b", "a"]))
+@example(np.array([5, 5, 5, 5]))
+def test_first_appearance_ids_equal_the_unique_route(tok):
+    labels, ids = graph._first_appearance_ids(tok)
+    want_labels, want_ids = unique_route(tok)
+    assert labels.dtype == want_labels.dtype and labels.tolist() == want_labels.tolist()
+    assert ids.dtype == want_ids.dtype and ids.tolist() == want_ids.tolist()

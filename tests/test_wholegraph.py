@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gen import gen_er, gen_power_law, named_graphs, planted_clique
+from gen import suite_graphs
 from graphlets import (
     Graph,
     accumulate,
@@ -20,16 +20,7 @@ from graphlets import (
 from graphlets import estimate, local, wholegraph
 
 
-def suite():
-    graphs = dict(named_graphs())
-    for s in range(6):
-        graphs[f"er{s}"] = gen_er(30, 0.1 + 0.15 * s, s)
-    graphs["power_law"] = gen_power_law(3000, 5.0, 1)
-    graphs["planted"] = planted_clique(60, 0.1, 12, 3)
-    return graphs
-
-
-SUITE = suite()
+SUITE = suite_graphs()
 
 
 def kernel_totals(g):
@@ -57,7 +48,7 @@ def test_exact_counts_runs_no_edge_kernel(monkeypatch, named):
         raise AssertionError("exact_counts must not run the per-edge kernel")
 
     monkeypatch.setattr(estimate, "accumulate", refuse)
-    monkeypatch.setattr(estimate, "scan_edge", refuse)
+    monkeypatch.setattr(local.ZoneKernel, "tallies", refuse)
     assert exact_counts(named["K5"]).X == brute_force_counts(named["K5"])
     with pytest.raises(ValueError):
         exact_counts(named["K5"], workers=0)
