@@ -66,7 +66,8 @@ def _add_io(sub):
 
 def _add_workers(sub):
     sub.add_argument("--workers", type=int, default=1,
-                     help="process count (default 1)")
+                     help="processes: this one plus workers-1 forked children on interleaved "
+                          "shares, capped at the available CPUs; serial without fork (default 1)")
 
 
 def _add_design(sub, required=False):

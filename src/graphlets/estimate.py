@@ -23,6 +23,10 @@ makes the exact-integer variance accumulator possible.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -218,52 +222,134 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
             for c, s, k, q in zip(counts, sq, sizes, inclusions)]
 
 
-# state handed to forked workers (copy-on-write; never pickled)
-_FORK_STATE: dict = {}
+def _cpus() -> set:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
 
 
-def _fork_task(bounds: tuple[int, int]):
-    lo, hi = bounds
-    return _FORK_STATE["fn"](_FORK_STATE["ids"][lo:hi])
+def _current_cpu() -> int | None:
+    """The CPU this thread last ran on, where Linux's /proc tells it."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _start_on(cpu: int | None, cpus: set):
+    """Move this process to ``cpu``, then let it run on any of ``cpus`` again.
+
+    A forked child starts on its parent's CPU, and the scheduler can leave
+    both there, taking turns, for a second or more; one move at the start
+    runs the shares side by side.
+    """
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # the move is only a hint
+        pass
+
+
+def _run_share(fn, share: np.ndarray, fd: int, cpu: int | None, cpus: set):
+    """In a forked child: start on ``cpu``, pickle (True, fn(share), None), or
+    (False, error, traceback) on any failure, to ``fd``; then end the process,
+    so it never returns into the caller's code or flushes its stdio buffers."""
+    try:
+        _start_on(cpu, cpus)
+        try:
+            data = pickle.dumps((True, fn(share), None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # every failure goes back to the caller
+            tb = traceback.format_exc()
+            try:
+                data = pickle.dumps((False, exc, tb))
+            except Exception:  # an unpicklable error still reports its traceback
+                data = pickle.dumps((False, RuntimeError(tb), tb))
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
+
+
+def _share_result(fd: int, w: int):
+    """What forked share ``w`` pickled to ``fd``; its exception is raised here."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    if not chunks:
+        raise RuntimeError(f"forked share {w} ended without a result")
+    ok, value, tb = pickle.loads(b"".join(chunks))  # bytes our own child wrote
+    if not ok:
+        raise value from RuntimeError(f"in forked share {w}:\n{tb}")
+    return value
 
 
 def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
-    """``fn`` over dynamic batches of ``ids``, one result per batch.
+    """``fn`` over k interleaved shares ids[w::k] of ``ids``, one result per share.
 
-    Forked workers inherit ``fn`` and ``ids`` copy-on-write, so neither is
-    pickled, and batches come back in completion order.  One worker, fewer
-    than two ids per worker, or a platform without ``fork`` runs ``fn`` on
-    all of ``ids`` in this process.
+    k is ``workers``, capped at the CPUs this process may use.  This process
+    runs share 0; each other share runs in a forked child, which inherits
+    ``fn`` and ``ids`` copy-on-write, starts on a CPU other than this
+    process's, and pickles its result back through a pipe (its own process
+    never returns from the fork).  A child's exception is raised here; if
+    this process fails, its children are killed.  Every child is reaped
+    before the call returns.
+    k = 1, fewer than two ids per share, or a platform without ``os.fork``
+    runs ``fn`` on all of ``ids`` in this process.
     """
-    if workers == 1 or len(ids) < 2 * workers:
+    cpus = _cpus()
+    k = min(workers, len(cpus))
+    if k == 1 or len(ids) < 2 * k or not hasattr(os, "fork"):
         return [fn(ids)]
-    import multiprocessing as mp  # deferred: serial runs never pay its ~1 MB of RSS
-
-    if "fork" not in mp.get_all_start_methods():
-        return [fn(ids)]
-    batch = max(64, len(ids) // (16 * workers))
-    cuts = list(range(0, len(ids), batch)) + [len(ids)]
-    _FORK_STATE.update(fn=fn, ids=ids)
+    here = _current_cpu()
+    spare = sorted(cpus - {here}) if here is not None else [None]  # where children start
+    pids, reads = [], []
+    finished = False
     try:
-        with mp.get_context("fork").Pool(workers) as pool:
-            return list(pool.imap_unordered(_fork_task, zip(cuts[:-1], cuts[1:])))
+        for w in range(1, k):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, ids[w::k], wr, spare[(w - 1) % len(spare)], cpus)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        out = [fn(ids[0::k])]
+        out += [_share_result(r, w) for w, r in enumerate(reads, 1)]
+        finished = True
+        return out
     finally:
-        _FORK_STATE.clear()
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _hardest_first(g: Graph, ids: np.ndarray) -> np.ndarray:
+    """The order of ``ids`` by descending hardness d(u) + d(v), ties in place:
+    interleaved shares of ids in this order get about equal work."""
+    ends = g.edges[ids]
+    return np.argsort(-(g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1), kind="stable")
 
 
 def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
                        workers: int, with_sq: bool) -> list[UnrestrictedAccumulator]:
     """``_accumulate_serial`` over ids[i] at level[i], from one parallel map.
 
-    Edges are processed in descending hardness order, split into dynamic
-    batches across workers; since every sum is an exact integer sum the
-    result is bitwise identical for any worker count or batch split.
+    Rows go to the map in descending hardness order, so its interleaved
+    shares get about equal work; since every sum is an exact integer sum the
+    result is bitwise identical for any worker count or share split.
     """
     if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
         raise ValueError("edge id out of range")
-    ends = g.edges[ids]
-    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)  # d(u) + d(v)
-    rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
+    rows = np.column_stack([ids, level])[_hardest_first(g, ids)]
     zone_kernel(g)  # built here, so forked workers share its up-lists
     parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
                           rows, workers)

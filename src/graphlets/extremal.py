@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SampleDesign, _parallel_map, _resolve_workers, sample_edges
+from .estimate import SampleDesign, _hardest_first, _parallel_map, _resolve_workers, sample_edges
 from .graph import Graph
 from .micro import MicroKernel
 from .patterns import resolve_pattern
@@ -50,7 +50,10 @@ def max_per_edge(
         raise ValueError("edge sample is empty; nothing to scan")
 
     kernel = MicroKernel(g)  # built here, so forked workers share its up-lists
-    parts = _parallel_map(lambda part: _best_over(kernel, part, pid), ids, workers)
+    # hardest first, so the interleaved shares get about equal work; each share
+    # is scanned in id order, which spreads the hard edges over the kernel's batches
+    parts = _parallel_map(lambda part: _best_over(kernel, np.sort(part), pid),
+                          ids[_hardest_first(g, ids)], workers)
     best_val, neg_eid = max(parts)
     best_eid = -neg_eid
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -11,3 +13,9 @@ settings.load_profile("graphlets")
 @pytest.fixture(scope="session")
 def named():
     return named_graphs()
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Let the parallel map run up to eight shares on a host with fewer CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)

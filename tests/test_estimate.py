@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -168,7 +172,7 @@ def test_accumulate_merge_mismatch():
     assert merged.k_used == 2
 
 
-def test_parallel_bitwise_identity():
+def test_parallel_bitwise_identity(eight_cpus):
     g = gen_er(35, 0.25, 4)
     ids = sample_edges(g, SampleDesign(p=0.8, seed=1))
     ref = accumulate(g, ids, workers=1, with_sq=True, inclusion=Fraction(4, 5))
@@ -208,13 +212,7 @@ def test_one_pool_per_sample_and_estimate(monkeypatch):
 
 
 def test_serial_fallback_without_fork(monkeypatch):
-    import multiprocessing
-
-    def no_context(*args, **kwargs):
-        raise ValueError("no start method here")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    monkeypatch.delattr(os, "fork")
     g = gen_er(35, 0.25, 4)
     ids = np.arange(g.m)
     ref = accumulate(g, ids, workers=1, with_sq=True, inclusion=Fraction(1))
@@ -223,7 +221,82 @@ def test_serial_fallback_without_fork(monkeypatch):
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
 
 
-def test_resolve_workers_env():
+def test_worker_count_capped_at_available_cpus(monkeypatch):
+    # with one CPU available, no worker count forks: 5000 runs in this process
+    def no_fork():
+        raise AssertionError("forked with one CPU available")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    g = gen_er(35, 0.25, 4)
+    ids = np.tile(np.arange(g.m), 10_000 // g.m + 1)  # two ids for each of 5000 shares
+    ref = accumulate(g, ids, workers=1, with_sq=True, inclusion=Fraction(1))
+    alt = accumulate(g, ids, workers=5000, with_sq=True, inclusion=Fraction(1))
+    assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
+    assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_map_runs_interleaved_shares(eight_cpus):
+    ids = np.arange(20)
+    parts = estimate._parallel_map(lambda share: share.tolist(), ids, 3)
+    assert parts == [ids[w::3].tolist() for w in range(3)]
+    assert_no_child_left()
+
+
+def test_forked_share_error_reaches_caller(eight_cpus):
+    def fn(share):
+        if share[0] == 1:  # share 1 runs in the forked child
+            raise ValueError(f"share starting at {share[0]} failed")
+        return share.tolist()
+
+    with pytest.raises(ValueError, match="^share starting at 1 failed$") as err:
+        estimate._parallel_map(fn, np.arange(10), 2)
+    assert err.type is ValueError
+    assert_no_child_left()
+
+
+def test_forked_shares_start_off_the_callers_cpu(eight_cpus, monkeypatch):
+    # each child is moved to its own CPU other than the caller's before its share
+    moved = []
+    monkeypatch.setattr(estimate, "_current_cpu", lambda: 1)
+    monkeypatch.setattr(estimate, "_start_on", lambda cpu, cpus: moved.append(cpu))
+    parts = estimate._parallel_map(lambda share: list(moved), np.arange(30), 4)
+    assert parts == [[], [0], [2], [3]]
+    assert_no_child_left()
+
+
+def test_forked_shares_leave_stdio_buffers_alone():
+    # a child that flushed on exit would print the caller's pending line twice
+    code = ("import numpy as np\n"
+            "from graphlets.estimate import _parallel_map\n"
+            "print('pending')\n"
+            "_parallel_map(lambda share: share.tolist(), np.arange(10), 2)\n"
+            "print('done')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout == "pending\ndone\n"
+
+
+def test_caller_error_kills_forked_shares(eight_cpus):
+    def fn(share):
+        if share[0] == 0:  # share 0 runs in this process
+            raise ValueError("caller share failed")
+        time.sleep(60)  # a child the caller waited for would hold the call this long
+
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="caller share failed"):
+        estimate._parallel_map(fn, np.arange(10), 2)
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+def test_resolve_workers():
     assert _resolve_workers(2) == 2
     with pytest.raises(ValueError):
         _resolve_workers(0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gen import gen_er, planted_clique
+from gen import gen_er, planted_clique, suite_graphs
 from graphlets import MicroKernel, SampleDesign, from_edges, max_per_edge
 
 
@@ -58,12 +58,22 @@ def test_empty_sample_errors():
         max_per_edge(g, 3, design=SampleDesign(p=1e-15, seed=0))
 
 
-def test_worker_count_invariance():
+def test_worker_count_invariance(eight_cpus):
     g = gen_er(40, 0.25, 83)
     ref = max_per_edge(g, 8, workers=1)
     for w in (2, 3):
         alt = max_per_edge(g, 8, workers=w)
         assert (alt.value, alt.edge_id) == (ref.value, ref.edge_id)
+
+
+def test_sampled_max_bitwise_across_workers(eight_cpus):
+    # edge, value and scanned count alike at 1, 2 and 3 shares on every suite graph
+    for name, g in suite_graphs().items():
+        design = SampleDesign(size=max(1, g.m // 2), weighting="kcore", seed=0)
+        for pattern in ("4-cycle", "4-clique"):
+            ref = max_per_edge(g, pattern, design=design, workers=1)
+            for w in (2, 3):
+                assert max_per_edge(g, pattern, design=design, workers=w) == ref, (name, w)
 
 
 def test_kcore_design_scans_fewer_edges():
