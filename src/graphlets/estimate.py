@@ -12,8 +12,8 @@ All accumulation is exact integer arithmetic (128-bit is a floor, Python
 ints do not overflow), so results are bitwise identical for any worker
 count or batch split; floats appear only where a sampled level's sums are
 divided by its pi, and exact counts stay integers.  ``exact_counts`` takes
-its totals from the serial whole-graph pass of ``wholegraph``, not from
-this per-edge accumulation.
+its totals from the whole-graph pass of ``wholegraph``, which splits over the
+same parallel map, not from this per-edge accumulation.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -467,12 +467,12 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
 def exact_counts(g: Graph, workers: int = 1) -> GraphletEstimate:
     """Exact counts of all seventeen patterns from one whole-graph pass.
 
-    The pass (``wholegraph.edge_totals``) is serial; ``workers`` is only
-    validated, so callers may pass the same value as to the sampled paths.
+    The pass (``wholegraph.edge_totals``) splits its triangle listing and its
+    wedges over ``workers`` through one parallel map; the counts are the same
+    for any worker count.
     """
-    _resolve_workers(workers)
-    acc = UnrestrictedAccumulator(counts=edge_totals(g), sq=None, k_used=g.m,
-                                  inclusion=Fraction(1))
+    acc = UnrestrictedAccumulator(counts=edge_totals(g, _resolve_workers(workers)),
+                                  sq=None, k_used=g.m, inclusion=Fraction(1))
     return estimate_counts(g, acc)
 
 

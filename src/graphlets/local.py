@@ -50,14 +50,20 @@ class EdgeLocal:
     far: int
 
 
+def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Positions starts[i] + j for every j < lens[i], concatenated in order of i."""
+    heads = np.cumsum(lens) - lens  # where each run lands in the output
+    out = np.repeat(starts - heads, lens)
+    out += np.arange(len(out))
+    return out
+
+
 def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
     """The lists of ``verts`` in the CSR (offsets, ids), concatenated without a
     Python loop, and each list's length."""
     starts = offsets[verts]
     lens = offsets[verts + 1] - starts
-    heads = np.cumsum(lens) - lens  # where each list lands in the output
-    total = int(heads[-1] + lens[-1]) if len(lens) else 0
-    return ids[np.repeat(starts - heads, lens) + np.arange(total)], lens
+    return ids[_positions(starts, lens)], lens
 
 
 def _flat_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Deterministic graph generators shared by the tests."""
+"""Deterministic graph generators, and helpers, shared by the tests."""
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from graphlets import Graph, from_edges
 
@@ -74,3 +76,9 @@ def suite_graphs() -> dict[str, Graph]:
     graphs["power_law"] = gen_power_law(3000, 5.0, 1)
     graphs["planted"] = planted_clique(60, 0.1, 12, 3)
     return graphs
+
+
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

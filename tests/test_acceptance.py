@@ -199,14 +199,19 @@ def test_criterion_07_parallel_identity_at_scale():
         results[w] = accumulate(g, ids, workers=w, inclusion=Fraction(1))
         _SCALE_TIMES[w] = time.perf_counter() - tw
     assert results[1].counts == results[2].counts == results[4].counts
-    tw = time.perf_counter()
-    assert edge_totals(g) == results[1].counts  # the whole-graph pass agrees
-    whole = time.perf_counter() - tw
+    # the whole-graph pass agrees at every worker count; this graph has tops
+    # with more wedges than wholegraph.BUDGET, merged inside forked shares too
+    whole = {}
+    for w in (1, 2, 4):
+        tw = time.perf_counter()
+        assert edge_totals(g, w) == results[1].counts, w
+        whole[w] = time.perf_counter() - tw
     dt = time.perf_counter() - t0
     assert dt < 600
     report(f"criterion 7a: workers 1/2/4 bitwise identical on m={g.m} "
            f"(times {_SCALE_TIMES[1]:.0f}/{_SCALE_TIMES[2]:.0f}/"
-           f"{_SCALE_TIMES[4]:.0f}s), whole-graph pass equal in {whole:.1f}s")
+           f"{_SCALE_TIMES[4]:.0f}s), whole-graph pass equal at 1/2/4 workers "
+           f"(1/2 in {whole[1]:.2f}/{whole[2]:.2f}s)")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gen import gen_er, gen_power_law, named_graphs
+from gen import assert_no_child_left, gen_er, gen_power_law, named_graphs
 from graphlets import (
     SampleDesign,
     accumulate,
@@ -27,7 +27,7 @@ from graphlets import (
     scaled_contributions,
     unrestricted_counts,
 )
-from graphlets import estimate
+from graphlets import estimate, wholegraph
 from graphlets.estimate import _chain, _draw, _resolve_workers
 
 
@@ -211,7 +211,7 @@ def test_one_pool_per_sample_and_estimate(monkeypatch):
         assert confidence_bounds(est) == confidence_bounds(per_level)
 
 
-def test_serial_fallback_without_fork(monkeypatch):
+def test_serial_fallback_without_fork(monkeypatch, eight_cpus):
     monkeypatch.delattr(os, "fork")
     g = gen_er(35, 0.25, 4)
     ids = np.arange(g.m)
@@ -219,6 +219,8 @@ def test_serial_fallback_without_fork(monkeypatch):
     alt = accumulate(g, ids, workers=2, with_sq=True, inclusion=Fraction(1))
     assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
+    monkeypatch.setattr(wholegraph, "BUDGET", 5)  # many ids, so two workers would fork
+    assert exact_counts(g, workers=2).X == exact_counts(g, workers=1).X
 
 
 def test_worker_count_capped_at_available_cpus(monkeypatch):
@@ -234,11 +236,8 @@ def test_worker_count_capped_at_available_cpus(monkeypatch):
     alt = accumulate(g, ids, workers=5000, with_sq=True, inclusion=Fraction(1))
     assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(wholegraph, "BUDGET", 5)  # many ids, all run in this process
+    assert exact_counts(g, workers=5000).X == exact_counts(g, workers=1).X
 
 
 def test_parallel_map_runs_interleaved_shares(eight_cpus):

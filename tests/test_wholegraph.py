@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gen import suite_graphs
+from gen import assert_no_child_left, suite_graphs
 from graphlets import (
     Graph,
     accumulate,
@@ -37,10 +38,34 @@ def test_totals_equal_edge_kernel(name):
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_tiny_budget_splits_chunks(name, monkeypatch):
-    # a few entries per chunk: hub out-lists and one top vertex's wedges span
-    # several chunks, so the carried runs must merge across them
+    # a few entries per chunk: the listing spans many ids, and a top vertex with
+    # more wedges than that spans several chunks of its own id, whose runs must
+    # merge across them
     monkeypatch.setattr(wholegraph, "BUDGET", 5)
     assert wholegraph.edge_totals(SUITE[name]) == kernel_totals(SUITE[name])
+
+
+@pytest.mark.parametrize("budget", [wholegraph.BUDGET, 5])
+def test_totals_equal_at_any_worker_count(budget, monkeypatch, eight_cpus):
+    # at 5 the map has many ids, and each heavy top merges its chunks in a
+    # forked share as well as in this process
+    monkeypatch.setattr(wholegraph, "BUDGET", budget)
+    for name, g in SUITE.items():
+        ref = wholegraph.edge_totals(g)
+        for workers in (2, 3, 5):
+            assert wholegraph.edge_totals(g, workers) == ref, (name, workers)
+            assert exact_counts(g, workers).X == exact_counts(g).X, (name, workers)
+    assert_no_child_left()
+
+
+def test_one_chunk_graph_never_forks(monkeypatch, eight_cpus, named):
+    # K5's pass is one triangle chunk and one wedge group: two ids, fewer than
+    # two per share at two workers, so they run in this process
+    def no_fork():
+        raise AssertionError("forked for a pass of two ids")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert exact_counts(named["K5"], workers=2).X == brute_force_counts(named["K5"])
 
 
 def test_exact_counts_runs_no_edge_kernel(monkeypatch, named):
