@@ -53,6 +53,30 @@ def test_from_edges_empty_is_error():
         from_edges([(3, 3)])  # self-loop only
 
 
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       st.integers(0, 3), st.booleans(), st.booleans())
+def test_from_edges_matches_a_set_reference(pairs, extra, declare, as_array):
+    # pairs hold self-loops, repeats and both orientations of an edge
+    kept = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    n = max((b + 1 for _, b in kept), default=0) + extra if declare else None
+    arg = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+    if n is None and not kept:
+        with pytest.raises(GraphParseError):
+            from_edges(arg)
+        return
+    g = from_edges(arg, n=n)
+    want_n = n if declare else max(b for _, b in kept) + 1
+    nbrs = [sorted({b for a, b in kept if a == v} | {a for a, b in kept if b == v})
+            for v in range(want_n)]
+    assert g.n == want_n
+    assert g.indptr.tolist() == [sum(map(len, nbrs[:v])) for v in range(want_n + 1)]
+    assert g.indices.dtype == np.int32
+    assert g.indices.tolist() == [w for row in nbrs for w in row]
+    assert g.edges.dtype == np.int32 and g.edges.flags.c_contiguous
+    assert g.edges.shape == (len(kept), 2)
+    assert g.edges.tolist() == [list(e) for e in sorted(kept)]
+
+
 def test_csr_structure():
     g = from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
     assert g.neighbors(2).tolist() == [0, 1, 3]

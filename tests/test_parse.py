@@ -148,6 +148,104 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# canonical rows: the first bad row, by a plain scan in order
+
+HINT = "; use --input-format edgelist to read the text as an edge list"
+WRAP = 2**33  # u and u + k * WRAP give equal keys u * 2**31 + v mod 2**64
+
+
+def canonical_reference(text):
+    """parse_graph(text, "canonical") by a row scan: the graph's n and edges, or
+    the first bad row's (line, message).  Tokens are ASCII, of at most 18 chars."""
+    rows = [(i, line.replace(",", " ").split()) for i, line in enumerate(text.split("\n"), 1)
+            if line.strip() and line.lstrip()[0] not in "#%"]
+    (_, (n, m)), rows = rows[0], rows[1:]
+    n, seen = int(n), set()
+    assert int(m) == len(rows)
+    if len(rows) > n * (n - 1) // 2:
+        return 1, "expected an 'n m' header followed by m edge rows"
+    for lineno, (a, b) in rows:
+        if not (a.isdecimal() and b.isdecimal()):
+            return lineno, "expected two non-negative integers"
+        u, v = int(a), int(b)
+        if u == v:
+            return lineno, "self-loop"
+        if u > v:
+            return lineno, "canonical rows need u < v"
+        if v >= n:
+            return lineno, f"vertex id not below the header's n = {n}"
+        if (u, v) in seen:
+            return lineno, "duplicate edge"
+        seen.add((u, v))
+    return n, sorted(seen)
+
+
+@st.composite
+def canonical_texts(draw):
+    """A canonical header over rows that mix valid pairs, duplicates at any
+    distance, reversed rows, self-loops, out-of-range v, non-integer tokens,
+    18-digit integers, and rows whose packed key wraps onto an earlier row's."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(10**17, 10**18 - 1)))
+    small = st.integers(0, min(n, 14) - 1)
+    big = st.integers(10**17, 10**18 - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["pair", "pair", "pair", "copy", "reversed", "loop",
+                                     "out", "token", "big", "wrap"]))
+        a, b = sorted([draw(small), draw(small)])
+        if kind == "pair" and a < b:
+            row = (a, b)
+        elif kind == "copy" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "reversed":
+            row = (b, a)
+        elif kind == "loop":
+            row = (a, a)
+        elif kind == "out":
+            row = (a, n + draw(st.integers(0, 2)))
+        elif kind == "token":
+            row = draw(st.sampled_from([("x", b), (a, "-1"), ("1.5", b), (a, "0x1")]))
+        elif kind == "big":
+            row = (draw(big), draw(big))
+        elif kind == "wrap" and rows and all(isinstance(x, int) for x in rows[-1]):
+            u, v = rows[-1]
+            row = (u + WRAP * draw(st.integers(1, 10**8)), v)
+        else:
+            row = (a, b + 1)
+        rows.append(row)
+    lines = [f"{n} {len(rows)}"]
+    for u, v in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "% 1 2"])))
+        sep = draw(st.sampled_from([" ", "\t", ","]))
+        lines.append(f"{u}{sep}{v}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(canonical_texts())
+@example("5 0\n")  # m = 0
+@example("3 1\n0 2\n")  # a single row
+@example("5 3\n0 1\n0 9\n0 1\n")  # a duplicate after an out-of-range row
+@example("5 3\n0 1\n0 1\n0 9\n")  # ... and before one
+@example(f"{10**17} 2\n1 5\n{1 + WRAP} 5\n")  # a reversed row wraps onto row 1's key
+@example(f"{10**17} 2\n0 {2**31}\n1 0\n")  # a reversed row meets row 1's key
+def test_canonical_errors_match_a_row_scan(text):
+    want = canonical_reference(text)
+    try:
+        g = parse_graph(text, fmt="canonical")
+    except GraphParseError as exc:
+        lineno, message = want
+        assert (exc.lineno, str(exc)) == (lineno, f"line {lineno}: {message}{HINT}")
+        return
+    except ValueError as exc:  # no bad row, but n past the int32 ids
+        assert want[0] >= 2**31 and str(exc) == f"n={want[0]} does not fit the int32 vertex ids"
+        return
+    n, edges = want
+    assert g.n == n and g.edges.tolist() == [list(e) for e in edges]
+
+
+# ---------------------------------------------------------------------------
 # the tokenizer's byte route (numeric ASCII text) agrees with its str route
 
 
@@ -329,6 +427,9 @@ def label_rows(draw):
 @example(np.array([7, 3]))  # a single row
 @example(np.array(["b", "a"]))
 @example(np.array([5, 5, 5, 5]))
+@example(np.array([2**61 - 1, 0, 2**61 - 1, 3]))  # the largest that packs for 4 tokens
+@example(np.array([2**61, 0, 2**61, 3]))  # one past it: the argsort route
+@example(np.array([4, -1, 0, 4]))  # a negative label: the argsort route
 def test_first_appearance_ids_equal_the_unique_route(tok):
     labels, ids = graph._first_appearance_ids(tok)
     want_labels, want_ids = unique_route(tok)
