@@ -198,14 +198,14 @@ def _cmd_estimate(g, args) -> dict:
 
 def _cmd_micro(g, args) -> dict:
     if args.edge is not None:
-        res = micro_counts(g, _read_edge(g, args.edge), p_e=args.p_edge, seed=args.seed)
+        res = micro_counts(g, _read_edge(g, args.edge))
         return {
             "edge": _labelled(g, (res.u, res.v)),
             "counts": _named(res.x),
             "zones": dict(zip(("common", "only_u", "only_v", "far"), res.zones)),
         }
     pid = patterns.resolve_pattern(args.pattern)
-    stats = univariate_stats(g, pid, p_e=args.p_edge, seed=args.seed)
+    stats = univariate_stats(g, pid)
     stats.pop("values")
     return {"pattern": patterns.NAMES[pid], "stats": stats}
 
@@ -302,9 +302,6 @@ def build_parser() -> _Parser:
     grp.add_argument("--edge", default=None, help="endpoints 'U,V'")
     grp.add_argument("--pattern", default=None,
                      help="pattern id or name for summary stats over all edges")
-    p.add_argument("--p-edge", type=float, default=1.0,
-                   help="neighbor sampling fraction (1 = exact)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_micro)
 
     p = subs.add_parser("adaptive",

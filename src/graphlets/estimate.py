@@ -36,11 +36,10 @@ import numpy as np
 
 from . import patterns
 from .graph import Graph
-from .local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
+from .local import _SU, _SV, _T, CHUNK, edge_tallies, isum, zone_kernel
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
-CHUNK = 4096  # edges per vectorized reduction: bounds its working set
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Extremal per-edge search: the largest per-edge count of one pattern.
 
-The per-edge counts on the scanned edges are exact (no neighbor sampling and
-no inclusion scaling), so the reported maximum is a lower bound on the true
-maximum and never an overestimate.  Scanning everything gives the exact
-answer; scanning a weighted edge sample (core-number weighting concentrates
-draws where dense patterns live) trades coverage for speed.  Ties go to the
-smallest edge id regardless of scan order or worker count.
+The per-edge counts on the scanned edges are exact (no inclusion scaling),
+so the reported maximum is a lower bound on the true maximum and never an
+overestimate.  Scanning everything gives the exact answer; scanning a
+weighted edge sample (core-number weighting concentrates draws where dense
+patterns live) trades coverage for speed.  Ties go to the smallest edge id
+regardless of scan order or worker count.
 """
 
 from __future__ import annotations

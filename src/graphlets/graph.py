@@ -251,7 +251,7 @@ def _peel_cores(g: Graph) -> np.ndarray:
     """Core numbers by level-synchronous peeling (cf. Julienne, SPAA 2017): at
     level k, the least live degree, every live vertex of degree <= k gets core
     k and leaves, and the neighbors that drop to k join the level."""
-    from .local import _flat_neighbors  # deferred: local imports this module
+    from .local import _gather  # deferred: local imports this module
     deg = g.degrees.astype(np.int64)
     core = np.zeros(g.n, dtype=np.int64)
     alive = np.ones(g.n, dtype=bool)
@@ -261,7 +261,7 @@ def _peel_cores(g: Graph) -> np.ndarray:
         front = live[deg[live] <= k]
         while len(front) >= _WAVE_MIN:  # O(frontier + its neighbor entries)
             core[front], alive[front] = k, False
-            nbr = _flat_neighbors(g, front)
+            nbr = _gather(g.indptr, g.indices, front)[0]
             nbr = nbr[alive[nbr]]
             np.subtract.at(deg, nbr, 1)
             front = np.unique(nbr[deg[nbr] <= k])

@@ -24,7 +24,8 @@ from .graph import Graph, resolve_edge
 # zone codes: a vertex's two mark bits for one edge (u, v), "in N(u)" the high one
 _SV, _SU, _T = 1, 2, 3
 EDGES = 31  # edges per batch: two mark bits each in one int64 word
-BUDGET = 1 << 17  # gathered neighbor entries per batch: bounds its working set
+BUDGET = 1 << 17  # gathered neighbor entries per batch or chunk: bounds its working set
+CHUNK = 4096  # edges per vectorized reduction: bounds its per-edge arrays
 
 
 class VertexMarker:
@@ -58,17 +59,26 @@ def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunks(work: np.ndarray):
+    """Contiguous (lo, hi) item ranges whose summed ``work`` is within BUDGET.
+
+    An item heavier than the budget gets a range of its own.
+    """
+    ends = np.cumsum(work)
+    lo = 0
+    while lo < len(work):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + BUDGET, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
     """The lists of ``verts`` in the CSR (offsets, ids), concatenated without a
     Python loop, and each list's length."""
     starts = offsets[verts]
     lens = offsets[verts + 1] - starts
     return ids[_positions(starts, lens)], lens
-
-
-def _flat_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``verts`` without a Python loop."""
-    return _gather(g.indptr, g.indices, verts)[0]
 
 
 def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) -> EdgeLocal:
@@ -91,18 +101,15 @@ class ZoneKernel:
         run = np.concatenate([[0], np.cumsum(1 + np.diff(self.up[0])[g.indices])])
         self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]
 
-    def tallies(self, ends: np.ndarray, sample=None):
+    def tallies(self, ends: np.ndarray):
         """(t, M, D) over the edges (u, v) in ``ends``: common neighbors, adjacent
         zone pairs M[zone of the lower-ranked end][zone of the other] and zone degree
-        sums D[zone], each an array over the edges.  ``sample(lens)``, for one edge,
-        picks and weights its up-list entries, read in the order T, S_u, S_v."""
-        work = np.cumsum(self.reach[ends].sum(axis=1))
-        parts, lo = [], 0
-        while lo < len(ends) or not parts:
-            cut = np.searchsorted(work, (work[lo - 1] if lo else 0) + BUDGET, side="right")
-            hi = min(lo + EDGES, max(lo + 1, int(cut)))
-            parts.append(self._batch(ends[lo:hi], sample))
-            lo = hi
+        sums D[zone], each an array over the edges."""
+        parts = [self._batch(ends[b:min(b + EDGES, hi)])
+                 for lo, hi in _chunks(self.reach[ends].sum(axis=1))
+                 for b in range(lo, hi, EDGES)]
+        if not parts:  # no edges: one empty batch shapes the empty arrays
+            parts = [self._batch(ends)]
         return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
     def _mark(self, ends):
@@ -120,21 +127,17 @@ class ZoneKernel:
         keep = np.concatenate([code[:split] != 0, code[split:] == _SV])
         return nbrs, nbrs[keep], (at[keep] << 1) + code[keep]
 
-    def _batch(self, ends, sample):
+    def _batch(self, ends):
         B = len(ends)
         nbrs, src, cell = self._mark(ends)
-        order = np.argsort(-cell, kind="stable") if sample else slice(None)
-        src, cell = src[order], cell[order]
         t = np.bincount(cell, minlength=4 * B)[_T::4]
         # each sum is at most 2m < 2**53, so the float bincount is exact
         D = np.bincount(cell, self.deg[src], 4 * B).astype(np.int64)
         up, lens = _gather(*self.up, src)
         key = np.repeat(cell << 2, lens)  # 16 * edge + 4 * zone, plus the target's code
         key += (self.words[up] >> ((key >> 4) << 1)) & 3
-        # exact counts keep every entry unweighted, so their bincount stays integer
-        picked, weights = sample(lens) if sample else (slice(None), None)
         self.words[nbrs] = 0
-        M = np.bincount(key[picked], weights, 16 * B).reshape(B, 4, 4)
+        M = np.bincount(key, minlength=16 * B).reshape(B, 4, 4)
         return t, M.transpose(1, 2, 0), D.reshape(B, 4).T
 
 

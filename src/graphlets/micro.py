@@ -16,12 +16,8 @@ and a_uv as a cell plus its transpose; the far tallies follow:
 
 The slots are the unrestricted tallies of ``local.edge_tallies`` with each
 adjacent pair moved to the pattern it completes, in int64 arrays over many
-edges: every term is below C(n, 2) < 2**61, so exact counts are exact for
-every n a ``Graph`` holds.  Neighbor-sampled counts (p_e < 1) take one edge
-at a time and keep ceil(d * p_e) random entries of each up-list of d entries,
-weighted by d / ceil(d * p_e) in the same bincount.  Every slot is linear in
-those cells, so each is unbiased; no clamp is applied, so a sampled count can
-come out negative when its true value is small.
+edges: every term is below C(n, 2) < 2**61, so the counts are exact for
+every n a ``Graph`` holds.
 """
 
 from __future__ import annotations
@@ -31,28 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, edge_tallies, zone_kernel
-
-CHUNK = 4096  # edges per kernel call: bounds the per-edge arrays
+from .local import _SU, _SV, _T, CHUNK, edge_tallies, zone_kernel
 
 
 @dataclass
 class MicroEstimate:
     """Counts of pattern instances containing one edge, by pattern id - 1.
 
-    Ints when exact (p_e = 1), floats when neighbor-sampled.  ``zones`` is
-    (common, exclusive-u, exclusive-v, far) sizes.
+    ``zones`` is (common, exclusive-u, exclusive-v, far) sizes.
     """
 
     x: list
     u: int
     v: int
-    p_e: float
     zones: tuple[int, int, int, int]
-
-    @property
-    def exact(self) -> bool:
-        return self.p_e >= 1.0
 
 
 class MicroKernel:
@@ -63,16 +51,11 @@ class MicroKernel:
         self.g = g
         self._zones = zone_kernel(g)
 
-    def counts(self, edge, p_e: float = 1.0, rng=None) -> MicroEstimate:
-        if not (0 < p_e <= 1):
-            raise ValueError(f"p_e must be in (0, 1], got {p_e}")
+    def counts(self, edge) -> MicroEstimate:
         u, v = resolve_edge(self.g, edge)
-        sample = None if p_e >= 1.0 else (lambda lens: _subsample(lens, p_e, rng))
-        x = self._slots(np.array([[u, v]]), sample)
-        if sample:
-            x[1] = x[5] = x[16] = 0.0
+        x = self._slots(np.array([[u, v]]))
         su = self.g.degree(u) - 1 - x[2]
-        return MicroEstimate(x=x, u=u, v=v, p_e=p_e, zones=(x[2], su, x[3] - su, x[4]))
+        return MicroEstimate(x=x, u=u, v=v, zones=(x[2], su, x[3] - su, x[4]))
 
     def column(self, ids, pattern_id: int) -> np.ndarray:
         """Exact counts of one pattern at each edge of ``ids``, as int64."""
@@ -80,11 +63,11 @@ class MicroKernel:
         return np.hstack([self._slots(ends[i:i + CHUNK])[pattern_id - 1]
                           for i in range(0, max(len(ends), 1), CHUNK)])
 
-    def _slots(self, ends: np.ndarray, sample=None) -> list:
-        """The 17 slots of the edges ``ends``: int64 arrays, float64 where
-        sampled; of one edge, Python numbers, which cost less than arrays."""
+    def _slots(self, ends: np.ndarray) -> list:
+        """The 17 slots of the edges ``ends``: int64 arrays; of one edge, Python
+        ints, which cost less than arrays."""
         g = self.g
-        t, M, D = self._zones.tallies(ends, sample)
+        t, M, D = self._zones.tallies(ends)
         du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
         if len(ends) == 1:
             t, M, D, du, dv = (a[..., 0].tolist() for a in (t, M, D, du, dv))
@@ -106,33 +89,14 @@ class MicroKernel:
         return x
 
 
-def _subsample(lens: np.ndarray, p_e: float, rng):
-    """Positions of ceil(d * p_e) random entries of each run of d = ``lens``
-    entries, and each kept entry's weight d / ceil(d * p_e)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    keep = np.ceil(lens * p_e).astype(np.int64)
-    owner = np.repeat(np.arange(len(lens)), lens)
-    # a random order within each run; keep its first keep[run] entries
-    order = np.lexsort((rng.random(len(owner)), owner))
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens, lens)
-    picked = order[rank < keep[owner]]
-    owner = owner[picked]
-    return picked, lens[owner] / keep[owner]
+def micro_counts(g: Graph, edge) -> MicroEstimate:
+    """Count the patterns containing one edge."""
+    return MicroKernel(g).counts(edge)
 
 
-def micro_counts(g: Graph, edge, p_e: float = 1.0, seed: int = 0) -> MicroEstimate:
-    """Count (or neighbor-sample) the patterns containing one edge."""
-    rng = np.random.default_rng(seed) if p_e < 1.0 else None
-    return MicroKernel(g).counts(edge, p_e=p_e, rng=rng)
-
-
-def univariate_stats(g: Graph, pattern_id: int, p_e: float = 1.0, seed: int = 0) -> dict:
+def univariate_stats(g: Graph, pattern_id: int) -> dict:
     """Five-number summary plus mean/std of one pattern's per-edge counts."""
-    kernel, rng = MicroKernel(g), np.random.default_rng(seed)
-    vals = np.array(kernel.column(np.arange(g.m), pattern_id) if p_e >= 1.0 else
-                    [kernel.counts(e, p_e=p_e, rng=rng).x[pattern_id - 1] for e in range(g.m)],
-                    dtype=np.float64)
+    vals = MicroKernel(g).column(np.arange(g.m), pattern_id).astype(np.float64)
     if not len(vals):
         raise ValueError("no edges to summarize")
     q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])

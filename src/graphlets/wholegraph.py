@@ -17,7 +17,7 @@ lower- to its higher-ranked end (Chiba and Nishizeki 1985):
 
 Every other total is the sum over edges of ``local.edge_tallies`` of t(e),
 the endpoint degrees, n and m.  The listing and the wedges split into ids,
-each gathering at most ``BUDGET`` entries at a time, which
+each gathering at most ``local.BUDGET`` entries at a time, which
 ``estimate._parallel_map`` shares out over the workers (Ahmed et al. 2015
 split the same per-edge pass over edges):
 
@@ -38,24 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import local
 from .graph import Graph
-from .local import _positions, edge_tallies, isum
-
-BUDGET = 1 << 17  # gathered entries per chunk: bounds the pass's working set
-
-
-def _chunks(work: np.ndarray):
-    """Contiguous (lo, hi) item ranges whose summed ``work`` is within BUDGET.
-
-    An item heavier than the budget gets a range of its own.
-    """
-    ends = np.cumsum(work)
-    lo = 0
-    while lo < len(work):
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + BUDGET, side="right")))
-        yield lo, hi
-        lo = hi
+from .local import _chunks, _positions, edge_tallies, isum
 
 
 def _heads(k: np.ndarray) -> np.ndarray:
@@ -168,9 +153,9 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
     # every other total sums edge_tallies over the edges; K and Q fill in the
     # two tallies that t(e) and the degrees do not determine
     c = [0] * 17
-    for i in range(0, m, BUDGET):
-        cols = edge_tallies(t[i:i + BUDGET], 0, 0, deg[lo[i:i + BUDGET]],
-                            deg[hi[i:i + BUDGET]], n, m)
+    for i in range(0, m, local.BUDGET):
+        e = slice(i, i + local.BUDGET)
+        cols = edge_tallies(t[e], 0, 0, deg[lo[e]], deg[hi[e]], n, m)
         c = [acc + isum(x) for acc, x in zip(c, cols)]
     c[6] = 6 * k4
     c[9] = 4 * (c4 - (c[7] - 6 * k4) - 3 * k4)  # induced: minus diamonds and K4s

@@ -200,7 +200,7 @@ def test_criterion_07_parallel_identity_at_scale():
         _SCALE_TIMES[w] = time.perf_counter() - tw
     assert results[1].counts == results[2].counts == results[4].counts
     # the whole-graph pass agrees at every worker count; this graph has tops
-    # with more wedges than wholegraph.BUDGET, merged inside forked shares too
+    # with more wedges than local.BUDGET, merged inside forked shares too
     whole = {}
     for w in (1, 2, 4):
         tw = time.perf_counter()

@@ -111,6 +111,16 @@ def test_micro_bad_edge(k4_file, capsys):
     assert main(["micro", k4_file, "--edge", "0,9"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["--edge", "0,1", "--p-edge", "0.4"],
+                                  ["--pattern", "4-cycle", "--seed", "1"]],
+                         ids=["p-edge", "seed"])
+def test_micro_refuses_removed_flags(k4_file, capsys, argv):
+    # per-edge counts are exact only: the neighbor-sampling flags are gone
+    assert main(["micro", k4_file, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
 def test_adaptive_cmd(capsys, er_file):
     code, doc = run_json(capsys, ["adaptive", er_file, "--beta", "0.1", "--trace"])
     assert code == 0

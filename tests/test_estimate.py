@@ -27,7 +27,7 @@ from graphlets import (
     scaled_contributions,
     unrestricted_counts,
 )
-from graphlets import estimate, wholegraph
+from graphlets import estimate, local
 from graphlets.estimate import _chain, _draw, _resolve_workers
 
 
@@ -219,7 +219,7 @@ def test_serial_fallback_without_fork(monkeypatch, eight_cpus):
     alt = accumulate(g, ids, workers=2, with_sq=True, inclusion=Fraction(1))
     assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
-    monkeypatch.setattr(wholegraph, "BUDGET", 5)  # many ids, so two workers would fork
+    monkeypatch.setattr(local, "BUDGET", 5)  # many ids, so two workers would fork
     assert exact_counts(g, workers=2).X == exact_counts(g, workers=1).X
 
 
@@ -236,7 +236,7 @@ def test_worker_count_capped_at_available_cpus(monkeypatch):
     alt = accumulate(g, ids, workers=5000, with_sq=True, inclusion=Fraction(1))
     assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
-    monkeypatch.setattr(wholegraph, "BUDGET", 5)  # many ids, all run in this process
+    monkeypatch.setattr(local, "BUDGET", 5)  # many ids, all run in this process
     assert exact_counts(g, workers=5000).X == exact_counts(g, workers=1).X
 
 

@@ -178,14 +178,14 @@ def pendant_tail_graphs(draw):
 @given(pendant_tail_graphs())
 def test_core_numbers_match_definition(g):
     waves = []
-    gather = local._flat_neighbors
+    gather = local._gather
 
-    def spy(graph, front):  # the peel gathers each wave's neighbors once
+    def spy(offsets, ids, front):  # the peel gathers each wave's neighbors once
         waves.append(len(front))
-        return gather(graph, front)
+        return gather(offsets, ids, front)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(local, "_flat_neighbors", spy)
+        mp.setattr(local, "_gather", spy)
         core = g.core_numbers()
     assert core.dtype == np.int64 and core.tolist() == reference_cores(g)
     # both branches ran: waves only on wide frontiers, and every vertex no wave

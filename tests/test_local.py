@@ -225,9 +225,9 @@ def test_batches_keep_to_the_edge_cap_and_budget(monkeypatch):
     kernel, batches = zone_kernel(g), []
     batch = local.ZoneKernel._batch
 
-    def spy(self, ends, sample):
+    def spy(self, ends):
         batches.append((len(ends), int(self.reach[ends].sum())))
-        return batch(self, ends, sample)
+        return batch(self, ends)
 
     monkeypatch.setattr(local.ZoneKernel, "_batch", spy)
     monkeypatch.setattr(local, "BUDGET", 1500)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import gen_er, gen_power_law, suite_graphs
+from gen import gen_er, gen_power_law
 from graphlets import (
     EDGE_COUNTS,
     Graph,
@@ -25,9 +25,17 @@ from graphlets.local import zone_kernel
 from graphlets.patterns import EDGE_INCIDENT
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_micro_equals_edge_oracle(seed):
-    g = gen_er(22, 0.3, seed + 30)
+def _fan(k: int) -> Graph:
+    """Hub 0 joined to every vertex of the path 1 - 2 - ... - k."""
+    return from_edges([(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)])
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(gen_er(22, 0.3, seed + 30), id=str(seed)) for seed in range(6)),
+    # path edge (1, 2) of a fan: its common neighbor, the hub, has an empty up-list
+    pytest.param(_fan(6), id="fan-empty-up-list"),
+])
+def test_micro_equals_edge_oracle(g):
     kernel = MicroKernel(g)
     for e in range(g.m):
         assert kernel.counts(e).x == brute_force_edge_counts(g, e), e
@@ -98,7 +106,6 @@ def test_micro_strictness_and_zones(named):
     assert res.x[2 - 1] == res.x[6 - 1] == res.x[17 - 1] == 0
     # pendant edge of the tail: common {}, exclusive 2 has {0, 1}, no far
     assert res.zones == (0, 2, 0, 0)
-    assert res.exact
 
 
 def test_micro_edge_forms(named):
@@ -174,14 +181,12 @@ def test_max_per_edge_workers_agree():
         assert max_per_edge(g, pattern, design=design, workers=2) == one, pattern
 
 
-@pytest.mark.parametrize("p_e", [1.0, 0.4])
-def test_univariate_stats_is_the_kernel_loop(p_e):
+def test_univariate_stats_is_the_kernel_loop():
     g = gen_er(25, 0.3, 45)
     kernel = MicroKernel(g)
     for pid in (4, 10, 15):
-        rng = np.random.default_rng(6) if p_e < 1 else None
-        loop = [kernel.counts(e, p_e=p_e, rng=rng).x[pid - 1] for e in range(g.m)]
-        assert univariate_stats(g, pid, p_e=p_e, seed=6)["values"].tolist() == loop, pid
+        loop = [kernel.counts(e).x[pid - 1] for e in range(g.m)]
+        assert univariate_stats(g, pid)["values"].tolist() == loop, pid
 
 
 def test_p4_univariate_example(named):
@@ -197,148 +202,6 @@ def test_univariate_fields():
     stats = univariate_stats(g, 4)
     assert stats["edges"] == g.m
     assert stats["min"] <= stats["q1"] <= stats["median"] <= stats["q3"] <= stats["max"]
-
-
-def test_p_e_validation(named):
-    with pytest.raises(ValueError):
-        micro_counts(named["K4"], 0, p_e=0)
-    with pytest.raises(ValueError):
-        micro_counts(named["K4"], 0, p_e=1.2)
-
-
-def test_sampled_micro_zone_slots_stay_exact():
-    g = gen_er(30, 0.3, 41)
-    for e in (0, 3, 7):
-        full = micro_counts(g, e)
-        part = micro_counts(g, e, p_e=0.5, seed=2)
-        # zone sizes are never sampled, so the pure-zone slots match exactly
-        for i in (1 - 1, 3 - 1, 4 - 1, 5 - 1):
-            assert part.x[i] == full.x[i]
-        assert all(v >= 0 for v in part.x)
-        assert not part.exact
-
-
-def _fan(k: int) -> Graph:
-    """Hub 0 joined to every vertex of the path 1 - 2 - ... - k."""
-    return from_edges([(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)])
-
-
-@pytest.mark.parametrize("g, e", [
-    # the hardest edge of a dense ER graph
-    pytest.param(gen_er(30, 0.35, 42), "hardest", id="er-hardest"),
-    # the hub edge of a power-law graph, whose up-lists are long
-    pytest.param(gen_power_law(300, 5.0, 2), 716, id="pl-hub"),
-    # path edge (1, 2) of a fan: its common neighbor, the hub, has an empty up-list
-    pytest.param(_fan(6), (1, 2), id="fan-empty-up-list"),
-])
-def test_sampled_micro_unbiased_mean(g, e):
-    # neighbor-sampled tallies average out to the exact per-edge counts
-    kernel = MicroKernel(g)
-    if e == "hardest":
-        e = int(np.argmax(g.edge_hardness()))
-    exact = np.array(micro_counts(g, e).x, dtype=float)
-    rng = np.random.default_rng(7)
-    runs = np.array(
-        [kernel.counts(e, p_e=0.4, rng=rng).x for _ in range(400)], dtype=float)
-    mean = runs.mean(axis=0)
-    se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
-    for i in range(17):
-        if se[i] == 0:
-            assert mean[i] == exact[i], i
-        else:
-            assert abs(mean[i] - exact[i]) <= 4 * se[i], i
-
-
-def test_sampled_route_keeps_whole_lists(named):
-    # at p_e = 1 - 1e-9 every up-list is kept whole, each entry with weight 1
-    for name, g in named.items():
-        kernel = MicroKernel(g)
-        rng = np.random.default_rng(0)
-        for e in range(g.m):
-            assert kernel.counts(e, p_e=1 - 1e-9, rng=rng).x == kernel.counts(e).x, (name, e)
-
-
-def test_sampled_micro_unclamped_low_count():
-    # a zero clamp pulls this slot's mean about 16 SE above its true value
-    g = gen_er(30, 0.35, 43)
-    kernel = MicroKernel(g)
-    i = 15 - 1  # 4-node-2-edge
-    assert micro_counts(g, 63).x[i] == 2
-    rng = np.random.default_rng(0)
-    vals = np.array([kernel.counts(63, p_e=0.4, rng=rng).x[i] for _ in range(2000)])
-    se = vals.std(ddof=1) / np.sqrt(len(vals))
-    assert abs(vals.mean() - 2) <= 4 * se, (vals.mean(), se)
-
-
-# micro_counts(g, e, p_e=0.4, seed=s).x as float.hex, recorded from the kernel
-# that keeps ceil(d * p_e) random entries of each up-list of d entries, weighted
-# by d / ceil(d * p_e); this pins the draw order and the float sums of that
-# route, so the sampled path must stay bitwise the same
-SAMPLED_GOLDEN = [
-    ("er", 7, 2, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.c000000000000p+3 "
-     "0x1.a000000000000p+3 0x0.0p+0 0x0.0p+0 0x1.1555555555556p+2 0x1.a800000000000p+4 "
-     "0x1.7000000000001p+3 0x1.0eaaaaaaaaaaap+5 0x1.4755555555555p+6 0x1.0aaaaaaaaaaabp+3 "
-     "0x1.0b55555555556p+7 0x1.8000000000002p+4 0x1.affffffffffffp+5 0x0.0p+0"),
-    ("er", 0, 5, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.4000000000000p+3 "
-     "0x1.1000000000000p+4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.7d55555555556p+4 "
-     "0x1.6000000000000p+2 0x1.e555555555555p+3 0x1.3355555555555p+6 0x1.0000000000000p+3 "
-     "0x1.c2aaaaaaaaaabp+6 0x1.02aaaaaaaaaacp+5 0x1.9eaaaaaaaaaaap+6 0x0.0p+0"),
-    ("pl", 716, 1, "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+3 0x1.a000000000000p+5 "
-     "0x1.dc00000000000p+7 0x0.0p+0 0x0.0p+0 0x1.9000000000000p+5 0x1.e800000000000p+8 "
-     "0x1.1800000000000p+4 0x1.3b00000000000p+9 0x1.a7c0000000000p+9 0x1.c980000000000p+10 "
-     "0x1.7cd8000000000p+13 0x1.7380000000000p+8 0x1.b2de000000000p+14 0x0.0p+0"),
-    ("pl", 17, 3, "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+2 0x1.2600000000000p+8 "
-     "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+1 0x1.4000000000000p+5 "
-     "0x0.0p+0 0x1.1d00000000000p+10 0x1.6900000000000p+9 0x1.4ada000000000p+15 0x0.0p+0"),
-]
-
-
-def test_sampled_micro_golden():
-    graphs = {"er": gen_er(30, 0.3, 41), "pl": gen_power_law(300, 5.0, 2)}
-    assert int(np.argmax(graphs["pl"].edge_hardness())) == 716  # its hardest edge
-    for name, e, seed, golden in SAMPLED_GOLDEN:
-        x = micro_counts(graphs[name], e, p_e=0.4, seed=seed).x
-        assert " ".join(float(val).hex() for val in x) == golden, (name, e, seed)
-
-
-# repr(micro_counts(g, e, p_e=0.4, seed=s).x) on suite edges, recorded from the
-# per-edge kernel before edges were batched: the sampled path runs one edge per
-# batch with its sources in the order T, S_u, S_v, so its draws, its float sums
-# and its int / float slot types stay the same.  "hardest" is the edge of
-# largest d(u) + d(v); triangle_iso's edge gathers no up-list entry at all
-SUITE_SAMPLED_GOLDEN = [
-    ("er3", 5, 1, "[1, 0.0, 7, 14, 7, 0.0, 8.9, 76.03333333333333, 81.35000000000001, 27.9, "
-     "18.983333333333334, 75.33333333333334, 25.733333333333327, 42.766666666666666, "
-     "14.75, 6.25, 0.0]"),
-    ("er3", "hardest", 2, "[1, 0.0, 15, 10, 3, 0.0, 57.33333333333334, 130.33333333333331, "
-     "90.83333333333333, 17.53333333333333, 13.166666666666666, 30.06666666666669, "
-     "28.333333333333343, 7.399999999999977, 2.366666666666646, 0.6333333333333542, 0.0]"),
-    ("planted", "hardest", 3, "[1, 0.0, 12, 11, 35, 0.0, 45.88333333333333, "
-     "32.11666666666667, 166.23333333333335, 2.0, 21.0, 72.0, 377.76666666666665, 341.0, "
-     "68.88333333333334, 526.1166666666667, 0.0]"),
-    ("power_law", "hardest", 4, "[1, 0.0, 32, 317, 2649, 0.0, 62.366666666666674, "
-     "748.2333333333333, 11059.216666666665, 111.0, 25206.85, 26424.1, 83637.33333333333, "
-     "837977.9, 3149.116666666667, 3504126.8833333333, 0.0]"),
-    ("power_law", 1000, 5, "[1, 0.0, 0, 10, 2988, 0.0, 0.0, 0.0, 4.0, 0.0, 17.0, 256.0, "
-     "0.0, 29648.0, 6757.0, 4455821.0, 0.0]"),
-    ("triangle_iso", 0, 6, "[1, 0.0, 1, 0, 1, 0.0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]"),
-]
-
-
-def test_sampled_micro_golden_on_suite_edges():
-    suite = suite_graphs()
-    for name, e, seed, golden in SUITE_SAMPLED_GOLDEN:
-        g = suite[name]
-        if e == "hardest":
-            e = int(np.argmax(g.edge_hardness()))
-        assert repr(micro_counts(g, e, p_e=0.4, seed=seed).x) == golden, (name, e, seed)
-
-
-def test_sampled_micro_deterministic_by_seed():
-    g = gen_er(25, 0.3, 43)
-    a = micro_counts(g, 4, p_e=0.3, seed=9)
-    b = micro_counts(g, 4, p_e=0.3, seed=9)
-    assert a.x == b.x
 
 
 def test_kernel_reuse_consistent():

@@ -41,15 +41,15 @@ def test_tiny_budget_splits_chunks(name, monkeypatch):
     # a few entries per chunk: the listing spans many ids, and a top vertex with
     # more wedges than that spans several chunks of its own id, whose runs must
     # merge across them
-    monkeypatch.setattr(wholegraph, "BUDGET", 5)
+    monkeypatch.setattr(local, "BUDGET", 5)
     assert wholegraph.edge_totals(SUITE[name]) == kernel_totals(SUITE[name])
 
 
-@pytest.mark.parametrize("budget", [wholegraph.BUDGET, 5])
+@pytest.mark.parametrize("budget", [local.BUDGET, 5])
 def test_totals_equal_at_any_worker_count(budget, monkeypatch, eight_cpus):
     # at 5 the map has many ids, and each heavy top merges its chunks in a
     # forked share as well as in this process
-    monkeypatch.setattr(wholegraph, "BUDGET", budget)
+    monkeypatch.setattr(local, "BUDGET", budget)
     for name, g in SUITE.items():
         ref = wholegraph.edge_totals(g)
         for workers in (2, 3, 5):
