@@ -34,9 +34,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import patterns
+from . import local, patterns
 from .graph import Graph
-from .local import _SU, _SV, _T, CHUNK, edge_tallies, isum, zone_kernel
+from .local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
@@ -202,8 +202,8 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
     kernel = zone_kernel(g)
     counts = [[0] * 17 for _ in inclusions]
     sq = [[0] * 17 for _ in inclusions]
-    for i in range(0, len(rows), CHUNK):
-        ids, level = rows[i:i + CHUNK].T
+    for i in range(0, len(rows), local.CHUNK):
+        ids, level = rows[i:i + local.CHUNK].T
         ends = g.edges[ids].astype(np.int64)
         du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
         t, M, _ = kernel.tallies(ends)

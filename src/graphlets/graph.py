@@ -27,21 +27,18 @@ Both routes yield the same tokens.  Under ``fmt="auto"``:
 
 Every format rejects self-loops at their line and allows m = 0.
 
-A load sorts once, with unstable ``np.sort`` of packed int64 keys.
-``from_edges`` sorts both orientations' keys src * n + dst in one array, in
-place.  Rule 2's duplicate check sorts the keys u * n + v and runs a stable
-``np.lexsort`` only when two are equal, to name the later copy's line.  Rule
-3's first-appearance ids sort tok * L + position when every token is a
-non-negative int64 and max * L + L - 1 fits in int64 (L tokens), and take
-one ``np.argsort`` otherwise.
+Every format ends in ``from_edges``, which sorts both orientations' keys
+src * n + dst in one array, in place, by an unstable ``np.sort``, and merges
+repeated pairs.  MatrixMarket and canonical text sort nothing more: a
+canonical load whose rows break no other rule and lose none to that merge is
+the graph, and only a failing load, or one whose n is past the int32 ids,
+runs a stable ``np.lexsort`` to name a duplicate's line.  An edge list also
+sorts its tokens once for the first-appearance ids: the packed keys tok * L +
+position when every token is a non-negative int64 and max * L + L - 1 fits
+in int64 (L tokens), else one ``np.argsort``.
 
-``core_numbers()``, ``up_lists()`` and ``local.zone_kernel`` are built on
-first use and cached on the ``Graph``.  The up-lists orient every edge from
-its lower- to its higher-ranked end by (degree, id), the rank of
-``wholegraph`` (Chiba and Nishizeki 1985): vertex w's list holds its
-neighbors ranked above w, in id order, so the lists hold each edge once and
-their lengths sum to m.  They are a second CSR (int64 offsets, int32 ids)
-sized by the CSR, never by ``n``.
+``core_numbers()`` and ``local.zone_kernel`` are built on first use and
+cached on the ``Graph``.
 """
 
 from __future__ import annotations
@@ -83,10 +80,7 @@ class Graph:
     indices: np.ndarray
     edges: np.ndarray  # (m, 2), u < v, lexicographically sorted
     labels: list | None = None  # dense id -> original label; None means identity
-    _adj_bits: list[int] | None = field(default=None, repr=False, compare=False)
     _core: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _up: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
-                                                      compare=False)
     _zones: object = field(default=None, repr=False, compare=False)  # local.zone_kernel
 
     def __post_init__(self):
@@ -129,31 +123,11 @@ class Graph:
         deg = self.degrees
         return deg[self.edges[:, 0]] + deg[self.edges[:, 1]]
 
-    def adjacency_bits(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (arbitrary-size ints), built lazily."""
-        if self._adj_bits is None:
-            bits = [0] * self.n
-            for u, v in self.edges:
-                bits[u] |= 1 << int(v)
-                bits[v] |= 1 << int(u)
-            self._adj_bits = bits
-        return self._adj_bits
-
     def core_numbers(self) -> np.ndarray:
         """k-core number per vertex via level-synchronous peeling; cached."""
         if self._core is None:
             self._core = _peel_cores(self)
         return self._core
-
-    def up_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, ids) of each vertex's neighbors ranked above it; cached."""
-        if self._up is None:
-            deg = self.degrees
-            rank = deg * len(deg) + np.arange(len(deg))  # (degree, id) order
-            above = rank[self.indices] > np.repeat(rank, deg)
-            offsets = np.concatenate([[0], np.cumsum(above)])[self.indptr]
-            self._up = offsets, self.indices[above]
-        return self._up
 
     def edge_core(self) -> np.ndarray:
         """min(core[u], core[v]) per edge id."""
@@ -443,22 +417,16 @@ def _parse_canonical(tok, widths, lineno) -> Graph:
         (u > v, "canonical rows need u < v"),
         (v >= n, f"vertex id not below the header's n = {n}"),
     ]
-    # Duplicates: one unstable np.sort of the keys u * n + v (n capped at
-    # 2**31, past which from_edges rejects n anyway).  Equal rows give equal
-    # keys and distinct valid rows distinct ones.  A row that breaks another
-    # rule may wrap its key or match another row's; equal keys only send the
-    # check to a stable lexsort, which decides and flags each later copy.
-    keys = u * min(n, 2**31)
-    keys += v
-    keys.sort()
-    if (keys[1:] == keys[:-1]).any():
-        order = np.lexsort((v, u))
-        dup = np.zeros(len(u), dtype=bool)
-        dup[order[1:]] = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
-        checks.append((dup, "duplicate edge"))
-    del keys
-    _fail_first(lineno, checks, hint)
-    return from_edges(uv, n=n)
+    if n < 2**31 and not any(bad.any() for bad, _ in checks):
+        g = from_edges(uv, n=n)
+        if g.m == len(uv):  # no repeated row was merged
+            return g
+    # name the first bad line: a stable lexsort flags each later copy of a row
+    order = np.lexsort((v, u))
+    dup = np.zeros(len(u), dtype=bool)
+    dup[order[1:]] = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+    _fail_first(lineno, checks + [(dup, "duplicate edge")], hint)
+    return from_edges(uv, n=n)  # no bad row: from_edges rejects the n
 
 
 def _parse_edgelist(tok, widths, lineno) -> Graph:
@@ -522,12 +490,12 @@ def _parse_mtx(banner, tok, widths, lineno) -> Graph:
 
 def decode_graph_bytes(data: bytes, source) -> str:
     """Graph file bytes as text: gunzipped when they start with the gzip magic
-    bytes, then strict UTF-8 less one leading byte-order mark.  Anything else
-    raises GraphParseError naming ``source``."""
+    bytes, then strict UTF-8; ``parse_graph`` drops one leading byte-order
+    mark.  Anything else raises GraphParseError naming ``source``."""
     try:
         if data[:2] == b"\x1f\x8b":
             data = gzip.decompress(data)
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise GraphParseError(f"{source}: not gzip or UTF-8 text ({exc})") from None
 

@@ -4,11 +4,16 @@ For an edge e = (u, v) the other vertices fall in four zones: T (common
 neighbors), S_u and S_v (neighbors of u only, of v only) and the r far ones.
 ``ZoneKernel`` marks, for a batch of up to 31 edges, each vertex's int64 word
 with two bits per edge, "in N(u)" and "in N(v)": their code is the vertex's
-zone, 3 for T, 2 for S_u, 1 for S_v, 0 for far and the endpoints.  Each zone
-member's up-list (``Graph.up_lists``) is read once, and one bincount of (edge,
-zone of the source, code of the target) gives every edge's 4x4 matrix M of
-adjacent zone pairs, each pair seen once, from its lower-ranked end: the
-4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] + M[S_v][S_u].
+zone, 3 for T, 2 for S_u, 1 for S_v, 0 for far and the endpoints.  The kernel
+orients every edge from its lower- to its higher-ranked end by (degree, id),
+the rank of ``wholegraph`` (Chiba and Nishizeki 1985): vertex w's up-list
+holds its neighbors ranked above w, in id order, so the lists hold each edge
+once.  They are the kernel's own second CSR (int64 offsets, int32 ids), sized
+by the CSR, never by n.  Each zone member's up-list is read once, and one
+bincount of (edge, zone of the source, code of the target) gives every edge's
+4x4 matrix M of adjacent zone pairs, each pair seen once, from its
+lower-ranked end: the 4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] +
+M[S_v][S_u].
 ``edge_tallies`` turns those and the endpoint degrees into the 17 unrestricted
 tallies, for one edge or for arrays of edges.
 """
@@ -96,7 +101,10 @@ class ZoneKernel:
     N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x."""
 
     def __init__(self, g: Graph):
-        self.g, self.up, self.deg = g, g.up_lists(), g.degrees
+        self.g, self.deg = g, g.degrees
+        rank = self.deg * len(self.deg) + np.arange(len(self.deg))  # (degree, id) order
+        above = rank[g.indices] > np.repeat(rank, self.deg)
+        self.up = np.concatenate([[0], np.cumsum(above)])[g.indptr], g.indices[above]
         self.words = np.zeros(g.n, dtype=np.int64)
         run = np.concatenate([[0], np.cumsum(1 + np.diff(self.up[0])[g.indices])])
         self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import local
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, CHUNK, edge_tallies, zone_kernel
+from .local import _SU, _SV, _T, edge_tallies, zone_kernel
 
 
 @dataclass
@@ -60,8 +61,8 @@ class MicroKernel:
     def column(self, ids, pattern_id: int) -> np.ndarray:
         """Exact counts of one pattern at each edge of ``ids``, as int64."""
         ends = self.g.edges[np.asarray(ids, dtype=np.int64)]
-        return np.hstack([self._slots(ends[i:i + CHUNK])[pattern_id - 1]
-                          for i in range(0, max(len(ends), 1), CHUNK)])
+        return np.hstack([self._slots(ends[i:i + local.CHUNK])[pattern_id - 1]
+                          for i in range(0, max(len(ends), 1), local.CHUNK)])
 
     def _slots(self, ends: np.ndarray) -> list:
         """The 17 slots of the edges ``ends``: int64 arrays; of one edge, Python

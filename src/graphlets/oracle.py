@@ -30,12 +30,17 @@ def classify_induced(g: Graph, subset) -> int:
     k = len(verts)
     if k not in (2, 3, 4):
         raise ValueError(f"subset must have 2..4 vertices, got {k}")
-    bits = g.adjacency_bits()
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-    degs = tuple(sorted((bits[v] & mask).bit_count() for v in verts))
+    degs = tuple(sorted(sum(g.has_edge(v, w) for w in verts) for v in verts))
     return patterns.classify_small(k, sum(degs) // 2, degs)
+
+
+def _adjacency_bits(g: Graph) -> list[int]:
+    """Per-vertex neighbor bitmasks (arbitrary-size ints): O(n^2) bits in all."""
+    bits = [0] * g.n
+    for u, v in g.edges.tolist():
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return bits
 
 
 def _check_size(g: Graph, max_n: int) -> None:
@@ -54,7 +59,7 @@ def brute_force_counts(g: Graph, max_n: int = 64) -> list[int]:
     entries come from the same enumeration, so every level sums to C(n, k).
     """
     _check_size(g, max_n)
-    bits = g.adjacency_bits()
+    bits = _adjacency_bits(g)
     y = [0] * 17
     y[0] = g.m
     y[1] = comb(g.n, 2) - g.m
@@ -83,7 +88,7 @@ def brute_force_edge_counts(g: Graph, e, max_n: int = 64) -> list[int]:
     """
     _check_size(g, max_n)
     u, v = resolve_edge(g, e)
-    bits = g.adjacency_bits()
+    bits = _adjacency_bits(g)
     y = [0] * 17
     y[0] = 1
 

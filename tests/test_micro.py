@@ -79,8 +79,8 @@ def test_oriented_kernel_equals_oracle(g):
 @settings(max_examples=150)
 @given(small_graphs())
 def test_up_lists_partition_edges(g):
-    offsets, ids = g.up_lists()
-    assert g.up_lists()[1] is ids  # cached
+    offsets, ids = zone_kernel(g).up
+    assert zone_kernel(g).up[1] is ids  # cached
     assert ids.dtype == np.int32 and len(offsets) == len(g.indptr)
     assert np.diff(offsets).sum() == offsets[-1] == g.m
     deg = g.degrees
@@ -140,7 +140,7 @@ def test_integer_exact_at_huge_n():
     r = n - 2
     assert res.x[15] == r * (r - 1) // 2
     assert all(type(val) is int for val in res.x)
-    assert [len(a) for a in g.up_lists()] == [3, 1]  # sized by the CSR, not by n
+    assert [len(a) for a in zone_kernel(g).up] == [3, 1]  # sized by the CSR, not by n
 
 
 def test_batched_routes_exact_at_huge_n():

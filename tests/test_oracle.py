@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from graphlets import (
     brute_force_edge_counts,
     classify_induced,
     from_edges,
+    oracle,
 )
 
 # hand-checked full count vectors, indexed by pattern id - 1
@@ -60,13 +62,16 @@ def test_level_sums():
     assert sum(y[6:]) == math.comb(g.n, 4)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     g = gen_er(30, 0.2, 0)
+    # refused before the O(n^2) bitmasks are built
+    monkeypatch.setattr(oracle, "_adjacency_bits", mock.Mock(side_effect=AssertionError))
     with pytest.raises(OracleSizeError):
         brute_force_counts(g, max_n=20)
     with pytest.raises(OracleSizeError):
         brute_force_edge_counts(g, 0, max_n=20)
-    assert g._adj_bits is None  # refused before the O(n^2) bitmasks were built
+    with pytest.raises(AssertionError):  # the patched builder is the one called
+        brute_force_counts(g)
 
 
 def test_edge_counts_strict_containment(named):

@@ -142,9 +142,15 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path):
     assert (g.n, g.m, g.labels) == (3, 2, None)
     g = parse_graph("\ufeff1 2\n2 1\n3 1\n")
     assert g.labels == [1, 2, 3]
-    path = tmp_path / "bom.gz"
-    path.write_bytes(gzip.compress("\ufeff0 1\n1 2\n".encode()))
-    assert load_graph(path).labels == [0, 1, 2]
+    # a file loads as parse_graph reads its text: one mark dropped, a second kept
+    for k in range(3):
+        text = "\ufeff" * k + "0 1\n1 2\n"
+        want = outcome(text, "auto")
+        for name, data in [("bom", text.encode()), ("bom.gz", gzip.compress(text.encode()))]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert outcome(path, "auto", load=True) == want, (k, name)
+    assert outcome("\ufeff" * 2 + "0 1\n1 2\n", "auto")[-1][0] == (str, "\ufeff0")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,8 @@ def canonical_texts(draw):
 @example("5 3\n0 1\n0 1\n0 9\n")  # ... and before one
 @example(f"{10**17} 2\n1 5\n{1 + WRAP} 5\n")  # a reversed row wraps onto row 1's key
 @example(f"{10**17} 2\n0 {2**31}\n1 0\n")  # a reversed row meets row 1's key
+@example(f"{2**31} 3\n0 1\n1 2\n0 1\n")  # a duplicate, not the n error
+@example("9 8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n0 1\n")  # a late copy, the only fault
 def test_canonical_errors_match_a_row_scan(text):
     want = canonical_reference(text)
     try:
@@ -249,10 +257,11 @@ def test_canonical_errors_match_a_row_scan(text):
 # the tokenizer's byte route (numeric ASCII text) agrees with its str route
 
 
-def outcome(text, fmt):
-    """What parse_graph makes of text: the graph, labels typed, or the error."""
+def outcome(text, fmt, load=False):
+    """What parse_graph makes of text (load_graph of a path when ``load``): the
+    graph, labels typed, or the error."""
     try:
-        g = parse_graph(text, fmt=fmt)
+        g = load_graph(text, fmt) if load else parse_graph(text, fmt=fmt)
     except ValueError as exc:  # GraphParseError, or an n past int32
         return type(exc).__name__, str(exc), getattr(exc, "lineno", None)
     labels = g.labels and [(type(x), x) for x in g.labels]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gen import assert_no_child_left, suite_graphs
 from graphlets import (
     Graph,
+    MicroKernel,
     accumulate,
     brute_force_counts,
     exact_counts,
@@ -129,9 +130,17 @@ def test_small_chunks_reduce_alike(name, monkeypatch):
     g = SUITE[name]
     ids = np.arange(g.m)
     ref = accumulate(g, ids, with_sq=True, inclusion=Fraction(1, 2))
-    monkeypatch.setattr(estimate, "CHUNK", 5)
+    columns = [MicroKernel(g).column(ids, pid) for pid in range(1, 18)]
+    sizes, tallies = [], local.ZoneKernel.tallies
+    monkeypatch.setattr(local.ZoneKernel, "tallies",
+                        lambda self, ends: sizes.append(len(ends)) or tallies(self, ends))
+    monkeypatch.setattr(local, "CHUNK", 5)
     alt = accumulate(g, ids, with_sq=True, inclusion=Fraction(1, 2))
     assert (alt.counts, alt.sq) == (ref.counts, ref.sq)
+    for pid, want in enumerate(columns, 1):
+        got = MicroKernel(g).column(ids, pid)
+        assert got.dtype == want.dtype and np.array_equal(got, want), pid
+    assert max(sizes) <= 5 and sum(sizes) == 18 * g.m  # both split at the patched CHUNK
 
 
 def test_squares_past_int64():
