@@ -2,12 +2,14 @@
 
 The estimator is Horvitz-Thompson over edges.  Every design is Poisson
 sampling: edge e is drawn independently with inclusion probability
-pi_e = min(1, c w_e), where w_e is 1, the edge core number, or a custom
-weight, and c sets the mean of pi to ``p`` or its sum to ``size``.  The
-drawn edges are grouped by pi; each group's unrestricted per-edge tallies
-are summed and divided by its pi, and the overcounts are folded out of the
-totals with the fixed correction weights.  The variance estimate is
-sum over drawn edges of (1 - pi) / pi^2 times the squared contribution.
+pi_e = min(1, c w_e), where w_e is 1 (uniform) or the edge core number
+(kcore), and c sets the mean of pi to ``p`` or its sum to ``size``.  The
+drawn edges are grouped by pi (a kcore design has one group per edge core
+number, the capped ones merged at pi = 1); each group's unrestricted
+per-edge tallies are summed and divided by its pi, and the overcounts are
+folded out of the totals with the fixed correction weights.  The variance
+estimate is the sum over drawn edges of (1 - pi) / pi^2 times the squared
+contribution.
 All accumulation is exact integer arithmetic (128-bit is a floor, Python
 ints do not overflow), so results are bitwise identical for any worker
 count or batch split; floats appear only where a sampled level's sums are
@@ -52,17 +54,15 @@ class SampleDesign:
 
     Exactly one of ``p`` and ``size`` must be set: the scale c makes the mean
     of pi equal ``p``, or the sum of pi (the expected sample size) equal
-    ``size``.  ``weighting`` is ``uniform`` (w_e = 1), ``kcore`` (w_e = min
-    of the endpoint core numbers), or ``custom`` with explicit nonnegative
-    ``weights``; zero-weight edges are never drawn.  The same seed always
-    reproduces the same sample, and a larger ``p`` or ``size`` with the same
-    seed draws a superset of the smaller sample (set nesting).
+    ``size``.  ``weighting`` is ``uniform`` (w_e = 1) or ``kcore`` (w_e = min
+    of the endpoint core numbers, at least 1 on every edge).  The same seed
+    always reproduces the same sample, and a larger ``p`` or ``size`` with the
+    same seed draws a superset of the smaller sample (set nesting).
     """
 
     p: float | None = None
     size: int | None = None
     weighting: str = "uniform"
-    weights: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -72,25 +72,8 @@ class SampleDesign:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.size is not None and self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.weighting not in ("uniform", "kcore", "custom"):
+        if self.weighting not in ("uniform", "kcore"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if (self.weighting == "custom") != (self.weights is not None):
-            raise ValueError("custom weighting requires weights=, others forbid it")
-
-
-def _design_weights(g: Graph, design: SampleDesign) -> np.ndarray:
-    if design.weighting == "uniform":
-        return np.ones(g.m)
-    if design.weighting == "kcore":
-        return g.edge_core().astype(np.float64)
-    w = np.asarray(design.weights, dtype=np.float64)
-    if w.shape != (g.m,):
-        raise ValueError(f"weights must have length m={g.m}")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValueError("weights must be finite and non-negative")
-    if w.sum() == 0:
-        raise ValueError("weights sum to zero")
-    return w
 
 
 def _draw(g: Graph, design: SampleDesign) -> tuple[np.ndarray, np.ndarray]:
@@ -103,12 +86,11 @@ def _draw(g: Graph, design: SampleDesign) -> tuple[np.ndarray, np.ndarray]:
     if design.weighting == "uniform" and design.p is not None:
         pi = np.full(g.m, design.p)
     else:
-        w = _design_weights(g, design)
+        w = np.ones(g.m) if design.weighting == "uniform" else g.edge_core().astype(np.float64)
         target = design.size if design.size is not None else design.p * g.m
-        avail = int(np.count_nonzero(w))
-        if target > avail:
-            raise ValueError(f"cannot draw {target:g} edges from {avail} available")
-        if not avail:  # an edgeless graph: nothing to draw
+        if target > g.m:
+            raise ValueError(f"cannot draw {target:g} edges from {g.m} available")
+        if not g.m:  # an edgeless graph: nothing to draw
             return np.empty(0, dtype=np.int64), w
         desc = np.sort(w)[::-1]
         tail = np.cumsum(desc[::-1])[::-1]  # tail[j]: weight left after j caps
@@ -181,12 +163,6 @@ def scaled_contributions(c) -> tuple:
     z[15] = 12 * c[14] - 2 * z[14]
     z[16] = -sum(z[6:16])
     return tuple(z)
-
-
-def _resolve_workers(workers: int) -> int:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
@@ -299,6 +275,8 @@ def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
     k = 1, fewer than two ids per share, or a platform without ``os.fork``
     runs ``fn`` on all of ``ids`` in this process.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cpus = _cpus()
     k = min(workers, len(cpus))
     if k == 1 or len(ids) < 2 * k or not hasattr(os, "fork"):
@@ -364,7 +342,6 @@ def accumulate(
 ) -> UnrestrictedAccumulator:
     """Sum per-edge tallies over ``edge_ids`` (repeats allowed); bitwise
     identical for any worker count."""
-    workers = _resolve_workers(workers)
     ids = np.asarray(edge_ids, dtype=np.int64)
     [acc] = _accumulate_levels(g, ids, np.zeros(len(ids), dtype=np.int64), [inclusion],
                                workers, with_sq)
@@ -470,7 +447,7 @@ def exact_counts(g: Graph, workers: int = 1) -> GraphletEstimate:
     wedges over ``workers`` through one parallel map; the counts are the same
     for any worker count.
     """
-    acc = UnrestrictedAccumulator(counts=edge_totals(g, _resolve_workers(workers)),
+    acc = UnrestrictedAccumulator(counts=edge_totals(g, workers),
                                   sq=None, k_used=g.m, inclusion=Fraction(1))
     return estimate_counts(g, acc)
 
@@ -483,7 +460,6 @@ def sample_and_estimate(
     The drawn edges are grouped by inclusion probability, and one parallel
     map accumulates every group's sums.
     """
-    workers = _resolve_workers(workers)
     ids, pi = _draw(g, design)
     levels, level = np.unique(pi[ids], return_inverse=True)
     return estimate_counts(g, _accumulate_levels(

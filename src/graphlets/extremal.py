@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SampleDesign, _hardest_first, _parallel_map, _resolve_workers, sample_edges
+from .estimate import SampleDesign, _hardest_first, _parallel_map, sample_edges
 from .graph import Graph
 from .micro import MicroKernel
 from .patterns import resolve_pattern
@@ -44,7 +44,6 @@ def max_per_edge(
 ) -> ExtremalResult:
     """Maximum per-edge count of ``pattern`` over scanned (or all) edges."""
     pid = resolve_pattern(pattern)
-    workers = _resolve_workers(workers)
     ids = np.arange(g.m, dtype=np.int64) if design is None else sample_edges(g, design)
     if len(ids) == 0:
         raise ValueError("edge sample is empty; nothing to scan")

@@ -34,16 +34,11 @@ CHUNK = 4096  # edges per vectorized reduction: bounds its per-edge arrays
 
 
 class VertexMarker:
-    """A generation counter kept for callers that pass a marker; nothing reads it."""
-
-    STRIDE = 8
+    """Kept for callers that pass a marker to ``classify_edge`` or
+    ``unrestricted_counts``; nothing reads it."""
 
     def __init__(self, n: int):
-        self.n, self.gen = n, 0
-
-    def fresh(self) -> int:
-        self.gen += self.STRIDE
-        return self.gen
+        self.n = n
 
 
 @dataclass

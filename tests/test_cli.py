@@ -201,6 +201,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["estimate", str(good), "--p", "2.0"]) == 1  # bad design
     assert main(["estimate", str(good), "--size", "99"]) == 1  # size > m
     capsys.readouterr()
+    assert main(["exact", str(good), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
 
 
 def test_estimate_requires_design(k4_file):

@@ -12,6 +12,7 @@ from gen import assert_no_child_left, gen_er, gen_power_law, named_graphs
 from graphlets import (
     SampleDesign,
     accumulate,
+    adaptive_estimate,
     brute_force_counts,
     confidence_bounds,
     estimate_counts,
@@ -28,7 +29,7 @@ from graphlets import (
     unrestricted_counts,
 )
 from graphlets import estimate, local
-from graphlets.estimate import _chain, _draw, _resolve_workers
+from graphlets.estimate import _chain, _draw
 
 
 # --- designs ---------------------------------------------------------------
@@ -47,9 +48,9 @@ def test_design_validation():
     with pytest.raises(ValueError):
         SampleDesign(p=0.5, weighting="degree")
     with pytest.raises(ValueError):
-        SampleDesign(p=0.5, weighting="custom")  # missing weights
-    with pytest.raises(ValueError):
-        SampleDesign(p=0.5, weights=(1.0,))  # weights without custom
+        SampleDesign(p=0.5, weighting="custom")
+    with pytest.raises(TypeError):
+        SampleDesign(p=0.5, weights=(1.0,))  # no design takes explicit weights
 
 
 def test_bernoulli_determinism_and_rate():
@@ -80,22 +81,6 @@ def test_fixed_size_too_large():
     assert len(sample_edges(g, SampleDesign(size=g.m))) == g.m
 
 
-def test_custom_weights_validation_and_zero_exclusion():
-    g = gen_er(12, 0.4, 2)
-    with pytest.raises(ValueError):
-        sample_edges(g, SampleDesign(size=2, weighting="custom", weights=(1.0,) * (g.m - 1)))
-    w = [1.0] * g.m
-    w[3] = 0.0
-    ids = [
-        sample_edges(g, SampleDesign(size=g.m - 1, weighting="custom",
-                                     weights=tuple(w), seed=s))
-        for s in range(20)
-    ]
-    assert all(3 not in set(s.tolist()) for s in ids)
-    with pytest.raises(ValueError):
-        sample_edges(g, SampleDesign(size=g.m, weighting="custom", weights=tuple(w)))
-
-
 def test_kcore_draw_frequency():
     # triangle with a pendant: core weights 2 on the triangle and 1 on the
     # pendant give pi = 4/7 and 2/7 at an expected size of 2
@@ -113,19 +98,21 @@ def test_kcore_draw_frequency():
 
 
 def test_heavy_edge_capped_at_certainty():
-    g = gen_er(20, 0.3, 2)
-    w = [1.0] * g.m
-    w[5] = 100.0
-    ids, pi = _draw(g, SampleDesign(size=10, weighting="custom", weights=tuple(w)))
-    assert pi[5] == 1.0 and 5 in ids.tolist()
-    assert pi.sum() == pytest.approx(10, abs=1e-9)
-    assert np.allclose(np.delete(pi, 5), 9 / (g.m - 1))
-    # only the capped edge drawn: one level at pi = 1, yet not every edge
-    w[5] = 1e6
-    design = SampleDesign(p=1.01 / g.m, weighting="custom", weights=tuple(w))
-    assert sample_edges(g, design).tolist() == [5]
-    est = sample_and_estimate(g, design)
-    assert est.p == 1.0 and est.k_used == 1 and isinstance(est.X[3 - 1], float)
+    # K5 plus a disjoint 40-edge path: core weights 4 and 1 at an expected size
+    # of 25 cap the 10 clique edges at pi = 1 and put the path at 15/40
+    g = from_edges([(a, b) for a in range(5) for b in range(a + 1, 5)]
+                   + [(v, v + 1) for v in range(5, 45)])
+    clique = g.edge_core() == 4
+    assert clique.sum() == 10 and g.m == 50
+    ids, pi = _draw(g, SampleDesign(size=25, weighting="kcore"))
+    assert (pi[clique] == 1.0).all() and np.isin(np.flatnonzero(clique), ids).all()
+    assert pi.sum() == pytest.approx(25, abs=1e-9)
+    assert np.allclose(pi[~clique], 15 / 40)
+    # one level at pi = 1, yet not every edge: a float estimate, not an exact count
+    ids = np.flatnonzero(clique)
+    est = estimate_counts(g, accumulate(g, ids, inclusion=Fraction(1)))
+    assert est.p == 1.0 and est.k_used == 10 < g.m
+    assert all(isinstance(x, float) for x in est.X)
 
 
 def test_empty_draw_estimates():
@@ -138,16 +125,16 @@ def test_empty_draw_estimates():
 
 
 def test_multilevel_totals_match_exact_sum():
-    # one inclusion level per drawn edge, plus one capped at pi = 1: the
-    # per-level float totals agree with the exact rational Horvitz-Thompson sum
+    # one inclusion level per edge, plus one at pi = 1: the per-level float
+    # totals agree with the exact rational Horvitz-Thompson sum
     g = gen_er(60, 0.15, 3)
-    w = np.random.default_rng(0).uniform(1, 2, g.m)
-    w[0] = 1e4
-    design = SampleDesign(p=0.4, weighting="custom", weights=tuple(w), seed=1)
-    ids, pi = _draw(g, design)
-    assert pi[0] == 1.0 and len(np.unique(pi[ids])) == len(ids) > 50
-    est = sample_and_estimate(g, design)
-    levels = [accumulate(g, [e], inclusion=Fraction(pi[e])) for e in ids]
+    ids = np.arange(0, g.m, 2)
+    pi = np.random.default_rng(0).uniform(0.2, 0.6, len(ids))
+    pi[0] = 1.0
+    assert len(np.unique(pi)) == len(ids) > 50
+    levels = [accumulate(g, [e], inclusion=Fraction(q)) for e, q in zip(ids, pi)]
+    est = estimate_counts(g, levels)
+    assert est.p is None and est.k_used == len(ids)
     exact = _chain([sum(Fraction(a.counts[i]) / a.inclusion for a in levels)
                     for i in range(17)], g.n, g.m)
     for x, e in zip(est.X, exact):
@@ -295,10 +282,27 @@ def test_caller_error_kills_forked_shares(eight_cpus):
     assert_no_child_left()
 
 
-def test_resolve_workers():
-    assert _resolve_workers(2) == 2
-    with pytest.raises(ValueError):
-        _resolve_workers(0)
+def test_every_entry_point_refuses_zero_workers():
+    g = gen_er(20, 0.3, 2)
+    design = SampleDesign(p=0.5, seed=1)
+    calls = [
+        lambda: accumulate(g, range(g.m), workers=0, inclusion=Fraction(1)),
+        lambda: exact_counts(g, workers=0),
+        lambda: sample_and_estimate(g, design, workers=0),
+        lambda: max_per_edge(g, "4-cycle", workers=0),
+        lambda: max_per_edge(g, "4-cycle", design=design, workers=0),
+        lambda: adaptive_estimate(g, workers=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+            call()
+    assert_no_child_left()
+
+
+def test_empty_sample_reported_before_the_worker_count():
+    g = gen_er(20, 0.3, 2)
+    with pytest.raises(ValueError, match="edge sample is empty"):
+        max_per_edge(g, "4-cycle", design=SampleDesign(p=1e-15), workers=0)
 
 
 def test_scaled_contributions_match_chain():

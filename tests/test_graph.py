@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import suite_graphs
 from graphlets import (
     Graph,
     GraphParseError,
@@ -129,6 +130,15 @@ def test_core_numbers():
     k4 = [(i, j) for i in range(3, 7) for j in range(i + 1, 7)]
     broom = from_edges([(0, 1), (0, 2), (0, 3)] + k4 + [(4, v) for v in range(7, 15)])
     assert broom.core_numbers().tolist() == [1, 1, 1] + [3] * 4 + [1] * 8
+
+
+def test_every_edge_core_is_at_least_one():
+    # a kcore draw weights each edge by its core: an edge at 0 would never be drawn
+    graphs = [*suite_graphs().values(), from_edges([(0, 1)], n=5),
+              parse_graph("4 0\n", fmt="canonical")]
+    for g in graphs:
+        core = g.edge_core()
+        assert len(core) == g.m and (core >= 1).all()
 
 
 def k_core(adj: list[set], k: int) -> set:

@@ -130,13 +130,6 @@ def test_marker_generation_isolation():
     assert twice == baseline
 
 
-def test_marker_stride_overflow_guard():
-    marker = VertexMarker(4)
-    for _ in range(1000):
-        marker.fresh()
-    assert marker.gen == 1000 * 8
-
-
 @st.composite
 def tally_rows(draw):
     """n, m and rows (t, k4, cyc, d_u, d_v) that some edge of such a graph has."""
