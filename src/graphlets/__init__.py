@@ -18,8 +18,6 @@ from .estimate import (
     estimate_counts,
     exact_counts,
     gfd,
-    ks_statistic,
-    relative_error,
     sample_and_estimate,
     sample_edges,
     scaled_contributions,
@@ -32,16 +30,10 @@ from .graph import (
     load_graph,
     parse_graph,
     resolve_edge,
-    serialize,
 )
 from .local import EdgeLocal, VertexMarker, classify_edge, unrestricted_counts
 from .micro import MicroEstimate, MicroKernel, micro_counts, univariate_stats
-from .oracle import (
-    OracleSizeError,
-    brute_force_counts,
-    brute_force_edge_counts,
-    classify_induced,
-)
+from .oracle import OracleSizeError, brute_force_counts, brute_force_edge_counts
 from .patterns import (
     ALL_K3,
     ALL_K4,
@@ -81,24 +73,20 @@ __all__ = [
     "brute_force_counts",
     "brute_force_edge_counts",
     "classify_edge",
-    "classify_induced",
     "confidence_bounds",
     "estimate_counts",
     "exact_counts",
     "from_edges",
     "gfd",
-    "ks_statistic",
     "load_graph",
     "max_per_edge",
     "micro_counts",
     "parse_graph",
-    "relative_error",
     "resolve_edge",
     "resolve_pattern",
     "sample_and_estimate",
     "sample_edges",
     "scaled_contributions",
-    "serialize",
     "unrestricted_counts",
     "univariate_stats",
 ]

@@ -309,24 +309,21 @@ def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _hardest_first(g: Graph, ids: np.ndarray) -> np.ndarray:
-    """The order of ``ids`` by descending hardness d(u) + d(v), ties in place:
-    interleaved shares of ids in this order get about equal work."""
-    ends = g.edges[ids]
-    return np.argsort(-(g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1), kind="stable")
-
-
 def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
                        workers: int, with_sq: bool) -> list[UnrestrictedAccumulator]:
     """``_accumulate_serial`` over ids[i] at level[i], from one parallel map.
 
-    Rows go to the map in descending hardness order, so its interleaved
-    shares get about equal work; since every sum is an exact integer sum the
-    result is bitwise identical for any worker count or share split.
+    Rows go to the map in descending hardness d(u) + d(v), ties in place:
+    this measured faster than the rows as given, shuffled or in id order.
+    Every sum is an exact integer sum, so the result does not depend on the
+    order of the rows, and is bitwise identical for any worker count or
+    share split.
     """
     if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
         raise ValueError("edge id out of range")
-    rows = np.column_stack([ids, level])[_hardest_first(g, ids)]
+    ends = g.edges[ids]
+    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)
+    rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
     zone_kernel(g)  # built here, so forked workers share its up-lists
     parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
                           rows, workers)
@@ -492,7 +489,7 @@ def confidence_bounds(
 
 
 # ---------------------------------------------------------------------------
-# distributions and error measures
+# graphlet frequency distributions
 
 GFD_VARIANTS = {
     "connected": patterns.CONNECTED_K4,
@@ -510,29 +507,3 @@ def gfd(X, variant: str = "combined") -> list[float]:
     if total <= 0:
         raise ValueError(f"all {variant} counts are zero; no distribution")
     return [v / total for v in vals]
-
-
-def ks_statistic(a, b) -> float:
-    """Max cumulative gap between two distributions in fixed pattern order."""
-    if len(a) != len(b):
-        raise ValueError("distributions must have equal length")
-    for name, dist in (("first", a), ("second", b)):
-        if abs(sum(dist) - 1.0) > 1e-9:
-            raise ValueError(f"{name} argument does not sum to 1")
-    gap, ca, cb = 0.0, 0.0, 0.0
-    for x, y in zip(a, b):
-        ca += x
-        cb += y
-        gap = max(gap, abs(ca - cb))
-    return gap
-
-
-def relative_error(X, Y) -> list:
-    """Per-pattern |X - Y| / Y; where Y is zero, an exact-match boolean."""
-    out = []
-    for x, y in zip(X, Y):
-        if y == 0:
-            out.append(x == 0)
-        else:
-            out.append(abs(float(x) - float(y)) / float(y))
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SampleDesign, _hardest_first, _parallel_map, sample_edges
+from .estimate import SampleDesign, _parallel_map, sample_edges
 from .graph import Graph
 from .micro import MicroKernel
 from .patterns import resolve_pattern
@@ -49,10 +49,7 @@ def max_per_edge(
         raise ValueError("edge sample is empty; nothing to scan")
 
     kernel = MicroKernel(g)  # built here, so forked workers share its up-lists
-    # hardest first, so the interleaved shares get about equal work; each share
-    # is scanned in id order, which spreads the hard edges over the kernel's batches
-    parts = _parallel_map(lambda part: _best_over(kernel, np.sort(part), pid),
-                          ids[_hardest_first(g, ids)], workers)
+    parts = _parallel_map(lambda part: _best_over(kernel, part, pid), ids, workers)
     best_val, neg_eid = max(parts)
     best_eid = -neg_eid
 

@@ -101,13 +101,6 @@ class Graph:
         """Sorted neighbor ids of v (a CSR slice, do not mutate)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
     def edge_id(self, u: int, v: int) -> int:
         """Row index of edge {u, v} in the canonical table; KeyError if absent."""
         a, b = (u, v) if u < v else (v, u)
@@ -215,6 +208,22 @@ def from_edges(pairs, n: int | None = None, labels: list | None = None) -> Graph
                  labels=labels)
 
 
+def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Positions starts[i] + j for every j < lens[i], concatenated in order of i."""
+    heads = np.cumsum(lens) - lens  # where each run lands in the output
+    out = np.repeat(starts - heads, lens)
+    out += np.arange(len(out))
+    return out
+
+
+def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
+    """The lists of ``verts`` in the CSR (offsets, ids), concatenated without a
+    Python loop, and each list's length."""
+    starts = offsets[verts]
+    lens = offsets[verts + 1] - starts
+    return ids[_positions(starts, lens)], lens
+
+
 # A frontier narrower than this drains the rest of its level from a Python
 # list: a numpy wave costs about 20-30 us, one drained vertex about 2 us, and
 # waves alone would take L/2 of them on a path of L vertices.
@@ -225,7 +234,6 @@ def _peel_cores(g: Graph) -> np.ndarray:
     """Core numbers by level-synchronous peeling (cf. Julienne, SPAA 2017): at
     level k, the least live degree, every live vertex of degree <= k gets core
     k and leaves, and the neighbors that drop to k join the level."""
-    from .local import _gather  # deferred: local imports this module
     deg = g.degrees.astype(np.int64)
     core = np.zeros(g.n, dtype=np.int64)
     alive = np.ones(g.n, dtype=bool)
@@ -250,13 +258,6 @@ def _peel_cores(g: Graph) -> np.ndarray:
                         drain.append(w)
         live = live[alive[live]]
     return core
-
-
-def serialize(g: Graph) -> str:
-    """Canonical text form: header ``n m`` then sorted ``u v`` rows (u < v)."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:

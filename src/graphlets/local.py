@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, resolve_edge
+from .graph import Graph, _gather, resolve_edge
 
 # zone codes: a vertex's two mark bits for one edge (u, v), "in N(u)" the high one
 _SV, _SU, _T = 1, 2, 3
@@ -51,14 +51,6 @@ class EdgeLocal:
     far: int
 
 
-def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Positions starts[i] + j for every j < lens[i], concatenated in order of i."""
-    heads = np.cumsum(lens) - lens  # where each run lands in the output
-    out = np.repeat(starts - heads, lens)
-    out += np.arange(len(out))
-    return out
-
-
 def _chunks(work: np.ndarray):
     """Contiguous (lo, hi) item ranges whose summed ``work`` is within BUDGET.
 
@@ -71,14 +63,6 @@ def _chunks(work: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(ends, base + BUDGET, side="right")))
         yield lo, hi
         lo = hi
-
-
-def _gather(offsets: np.ndarray, ids: np.ndarray, verts: np.ndarray):
-    """The lists of ``verts`` in the CSR (offsets, ids), concatenated without a
-    Python loop, and each list's length."""
-    starts = offsets[verts]
-    lens = offsets[verts + 1] - starts
-    return ids[_positions(starts, lens)], lens
 
 
 def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) -> EdgeLocal:

@@ -20,20 +20,6 @@ class OracleSizeError(RuntimeError):
     """Graph too large for exhaustive enumeration."""
 
 
-def classify_induced(g: Graph, subset) -> int:
-    """Pattern id of the subgraph induced by ``subset`` (2..4 vertices)."""
-    verts = sorted(int(x) for x in subset)
-    if len(set(verts)) != len(verts):
-        raise ValueError("subset has repeated vertices")
-    if not all(0 <= v < g.n for v in verts):
-        raise ValueError("subset has out-of-range vertices")
-    k = len(verts)
-    if k not in (2, 3, 4):
-        raise ValueError(f"subset must have 2..4 vertices, got {k}")
-    degs = tuple(sorted(sum(g.has_edge(v, w) for w in verts) for v in verts))
-    return patterns.classify_small(k, sum(degs) // 2, degs)
-
-
 def _adjacency_bits(g: Graph) -> list[int]:
     """Per-vertex neighbor bitmasks (arbitrary-size ints): O(n^2) bits in all."""
     bits = [0] * g.n

@@ -39,8 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import local
-from .graph import Graph
-from .local import _chunks, _positions, edge_tallies, isum
+from .graph import Graph, _positions
+from .local import _chunks, edge_tallies, isum
 
 
 def _heads(k: np.ndarray) -> np.ndarray:

@@ -27,9 +27,7 @@ from graphlets import (
     exact_counts,
     from_edges,
     gfd,
-    ks_statistic,
     max_per_edge,
-    relative_error,
     sample_and_estimate,
 )
 from fractions import Fraction
@@ -151,7 +149,9 @@ def test_criterion_05_gfd_closeness():
     dists = []
     for s in range(10):
         est = sample_and_estimate(g, SampleDesign(p=0.10, seed=s))
-        dists.append(ks_statistic(gfd(est.X, "combined"), reference))
+        # KS distance: the largest gap between the cumulative distributions
+        gaps = np.cumsum(gfd(est.X, "combined")) - np.cumsum(reference)
+        dists.append(float(np.abs(gaps).max()))
     mean_ks = float(np.mean(dists))
     assert mean_ks <= 0.01, dists
     dt = time.perf_counter() - t0
@@ -168,14 +168,15 @@ def test_criterion_06_adaptive_convergence():
     truth = exact_counts(g).X
     res = adaptive_estimate(g, AdaptiveConfig(beta=0.01, t_max=200, seed=3))
     assert res.converged, res.reason
-    errs = relative_error(res.estimate.X, truth)
     worst = 0.0
     for i in range(6, 17):
-        if errs[i] is True:
+        x, y = res.estimate.X[i], truth[i]
+        if y == 0:
+            assert x == 0, i
             continue
-        assert errs[i] is not False, i
-        worst = max(worst, errs[i])
-        assert errs[i] <= 0.05, (i, errs[i])
+        err = abs(x - y) / y
+        worst = max(worst, err)
+        assert err <= 0.05, (i, err)
     dt = time.perf_counter() - t0
     assert dt < 60
     report(f"criterion 6: {res.reason} after {res.iterations} rounds, "

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphlets
-from gen import gen_er
-from graphlets import serialize
+from gen import gen_er, serialize
 from graphlets.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -24,13 +24,14 @@ def test_full_scan_is_exact(pid):
     assert g.edge_id(u, v) == res.edge_id
 
 
-def test_tie_breaks_to_smallest_id():
+def test_tie_breaks_to_smallest_id(eight_cpus):
     # two disjoint 4-cliques: every edge holds exactly one, so id 0 must win
+    # in every split of the 12 ids over the shares
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     g = from_edges(k4 + [(a + 4, b + 4) for a, b in k4])
-    res = max_per_edge(g, "4-clique")
-    assert res.value == 1
-    assert res.edge_id == 0
+    for w in (1, 2, 3):
+        res = max_per_edge(g, "4-clique", workers=w)
+        assert (res.value, res.edge_id) == (1, 0), w
 
 
 def test_pattern_by_name_or_id():

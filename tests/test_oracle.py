@@ -10,7 +10,6 @@ from graphlets import (
     OracleSizeError,
     brute_force_counts,
     brute_force_edge_counts,
-    classify_induced,
     from_edges,
     oracle,
 )
@@ -31,27 +30,6 @@ HAND = {
 @pytest.mark.parametrize("name", sorted(HAND))
 def test_hand_counts(name, named):
     assert brute_force_counts(named[name]) == HAND[name]
-
-
-def test_classify_induced(named):
-    k4 = named["K4"]
-    assert classify_induced(k4, (0, 1)) == 1
-    assert classify_induced(k4, (0, 1, 2)) == 3
-    assert classify_induced(k4, (0, 1, 2, 3)) == 7
-    p4 = named["P4"]
-    assert classify_induced(p4, (0, 3)) == 2
-    assert classify_induced(p4, (0, 1, 3)) == 5
-    assert classify_induced(p4, (0, 1, 2, 3)) == 12
-
-
-def test_classify_induced_validation(named):
-    g = named["K4"]
-    with pytest.raises(ValueError):
-        classify_induced(g, (0,))
-    with pytest.raises(ValueError):
-        classify_induced(g, (0, 0, 1))
-    with pytest.raises(ValueError):
-        classify_induced(g, (0, 1, 99))
 
 
 def test_level_sums():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphlets import GraphParseError, from_edges, graph, load_graph, parse_graph, serialize
+from gen import serialize
+from graphlets import GraphParseError, from_edges, graph, load_graph, parse_graph
 from graphlets.graph import FORMATS, decode_graph_bytes
 
 MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n"
