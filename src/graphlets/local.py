@@ -29,7 +29,14 @@ from .graph import Graph, _gather, resolve_edge
 # zone codes: a vertex's two mark bits for one edge (u, v), "in N(u)" the high one
 _SV, _SU, _T = 1, 2, 3
 EDGES = 31  # edges per batch: two mark bits each in one int64 word
-BUDGET = 1 << 17  # gathered neighbor entries per batch or chunk: bounds its working set
+# gathered neighbor entries per batch or chunk: bounds its working set.  At
+# 2**17 the whole-graph pass's ids made megabyte temporaries that glibc gave
+# back to the OS and faulted in again on every call: 6,000-8,000 minor faults
+# a call on a 72,000-edge power-law graph, against 1,100 at 2**16, where the
+# call runs 20-25% faster.  The 986,093-edge north-star graph takes as long at
+# 2**16 as at 2**17; at 2**15 more of its tops split into chunks, which costs
+# it about 30 ms a call.
+BUDGET = 1 << 16
 CHUNK = 4096  # edges per vectorized reduction: bounds its per-edge arrays
 
 
@@ -51,8 +58,9 @@ class EdgeLocal:
     far: int
 
 
-def _chunks(work: np.ndarray):
-    """Contiguous (lo, hi) item ranges whose summed ``work`` is within BUDGET.
+def _chunks(work: np.ndarray, most: int | None = None):
+    """Contiguous (lo, hi) item ranges whose summed ``work`` is within BUDGET,
+    each of at most ``most`` items when it is given.
 
     An item heavier than the budget gets a range of its own.
     """
@@ -61,6 +69,7 @@ def _chunks(work: np.ndarray):
     while lo < len(work):
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + BUDGET, side="right")))
+        hi = hi if most is None else min(hi, lo + most)
         yield lo, hi
         lo = hi
 
@@ -92,9 +101,8 @@ class ZoneKernel:
         """(t, M, D) over the edges (u, v) in ``ends``: common neighbors, adjacent
         zone pairs M[zone of the lower-ranked end][zone of the other] and zone degree
         sums D[zone], each an array over the edges."""
-        parts = [self._batch(ends[b:min(b + EDGES, hi)])
-                 for lo, hi in _chunks(self.reach[ends].sum(axis=1))
-                 for b in range(lo, hi, EDGES)]
+        parts = [self._batch(ends[lo:hi])
+                 for lo, hi in _chunks(self.reach[ends].sum(axis=1), EDGES)]
         if not parts:  # no edges: one empty batch shapes the empty arrays
             parts = [self._batch(ends)]
         return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
@@ -159,9 +167,12 @@ def edge_tallies(t, k4, cyc, du, dv, n, m) -> tuple:
             r * (r - 1) // 2, m - du - dv + 1, zero)
 
 
-def isum(x) -> int:
-    """Exact sum of an int64 array (or one int): its 32-bit halves are summed apart."""
-    return (int(np.sum(x >> 32)) << 32) + int(np.sum(x & 0xFFFFFFFF))
+def isum(x):
+    """Exact sum of an int64 array along its last axis: its 32-bit halves are
+    summed apart.  A Python int for a 1-D array, an object array of them for
+    the rows of a 2-D one."""
+    return ((np.sum(x >> 32, axis=-1).astype(object) << 32)
+            + np.sum(x & 0xFFFFFFFF, axis=-1).astype(object))
 
 
 def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tuple[int, ...]:

@@ -22,16 +22,21 @@ each gathering at most ``local.BUDGET`` entries at a time, which
 split the same per-edge pass over edges):
 
 * a triangle id is one range of edges x -> a, taken in order of a so that
-  the lookups of a -> b land near each other, with its 4-clique probe;
+  the lookups of a -> b land near each other, with its 4-clique probe; it
+  adds one to its share's t(e) in place on each edge of each triangle;
 * a wedge id is a run of consecutive top vertices x whose wedges fit in
   ``BUDGET``, so each codeg(x, y) is whole in one id and comes from the run
   lengths of one sort of the wedge keys.  A top with more wedges than
   ``BUDGET`` is an id of its own: it sorts its wedges a chunk at a time and
-  merges each chunk's (key, count) runs into the next.
+  adds each chunk's run lengths into its share's codeg(x, y) by y.
 
-Each share returns its partial t(e) and its 4-clique and 4-cycle counts; their
-sums are the same for any worker count.  Every sum is reduced exactly into a
-Python int, so the totals are exact at any n a ``Graph`` holds.
+Each share holds one t(e) of length m and one heavy top's codeg(x, y) by y,
+one per vertex of the CSR, and nothing else of either length.  It returns
+t(e) and its 4-clique and 4-cycle counts, whose sums are the same for any
+worker count.  The closing reduction runs ``local.edge_tallies`` over
+``local.CHUNK`` edges at a time, so its seventeen columns never exist at
+length m.  Every sum is reduced exactly into a Python int, so the totals are
+exact at any n a ``Graph`` holds.
 """
 
 from __future__ import annotations
@@ -43,9 +48,10 @@ from .graph import Graph, _positions
 from .local import _chunks, edge_tallies, isum
 
 
-def _heads(k: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in the sorted ``k`` starts."""
-    return np.flatnonzero(np.concatenate([[len(k) > 0], k[1:] != k[:-1]]))
+def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values in the sorted ``k`` starts, and its length."""
+    heads = np.flatnonzero(np.concatenate([[len(k) > 0], k[1:] != k[:-1]]))
+    return heads, np.diff(np.append(heads, len(k)))
 
 
 def edge_totals(g: Graph, workers: int = 1) -> list[int]:
@@ -97,7 +103,8 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
         xb = _positions(e + 1, later[e])
         ab, tri = find(hi[xa], hi[xb])
         xa, ab, xb = xa[tri], ab[tri], xb[tri]
-        t += np.bincount(np.concatenate([xa, ab, xb]), minlength=m)
+        for edge in (xa, ab, xb):  # in place: no m-length array per id
+            np.add.at(t, edge, 1)
         k4 = 0
         for d0, d1 in _chunks(later[xb]):  # c: an out-neighbor of x after b
             owner = np.repeat(np.arange(d0, d1), later[xb[d0:d1]])
@@ -106,42 +113,44 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
             k4 += int(np.count_nonzero(find(hi[ab[owner[hit]]], c[hit])[1]))
         return k4
 
-    def wedge_keys(e0, e1):
-        """Sorted keys x * N + y of the wedges through edges e0..e1-1 (by top)."""
-        span = below[e0:e1]
-        k = np.repeat(top[e0:e1] * N, span)
-        k += nbrs[_positions(nbr_start[a[e0:e1]], span)]
-        k.sort()
-        return k
+    def wedge_ys(e0, e1):
+        """The y of each wedge x - a - y through the edges e0..e1-1 (by top)."""
+        return nbrs[_positions(nbr_start[a[e0:e1]], below[e0:e1])]
 
-    def cycles(x0, x1):
+    def cycles(x0, x1, by_y):
         """Sum of C(codeg(x, y), 2) over the tops x0..x1-1."""
         e0, e1 = int(top_end[x0 - 1]) if x0 else 0, int(top_end[x1 - 1])
-        k = codeg = np.empty(0, dtype=np.int64)
-        for f0, f1 in _chunks(below[e0:e1]):  # one chunk unless x0 is a heavy top
-            new = wedge_keys(e0 + f0, e0 + f1)
-            heads = _heads(new)
-            codeg = np.concatenate([codeg, np.diff(np.append(heads, len(new)))])
-            if e0 + f1 < e1 or len(k):  # a heavy top: its runs so far merge with this chunk's
-                k = np.concatenate([k, new[heads]])
-                order = np.argsort(k)
-                k, codeg = k[order], codeg[order]
-                heads = _heads(k)
-                k, codeg = k[heads], np.add.reduceat(codeg, heads)
+        parts = list(_chunks(below[e0:e1]))
+        if len(parts) == 1:  # each codeg(x, y) is one run of equal keys x * N + y
+            k = np.repeat(top[e0:e1] * N, below[e0:e1])
+            k += wedge_ys(e0, e1)
+            k.sort()
+            codeg = _runs(k)[1]
+        else:  # a heavy top x0: each chunk adds its runs of equal y into by_y[y]
+            fresh = []  # the ys first met in each chunk
+            for f0, f1 in parts:
+                y = wedge_ys(e0 + f0, e0 + f1)
+                y.sort()
+                heads, codeg = _runs(y)
+                y = y[heads]
+                fresh.append(y[by_y[y] == 0])
+                by_y[y] += codeg
+            y = np.concatenate(fresh)
+            codeg, by_y[y] = by_y[y], 0  # zero again for the next heavy top
         return isum(codeg * (codeg - 1) // 2)
 
     jobs = [(triangles, c0, c1) for c0, c1 in _chunks(later[by_top])]
     jobs += [(cycles, x0, x1) for x0, x1 in _chunks(wedges) if wedges[x0:x1].any()]
 
     def share(ids):
-        t = np.zeros(m, dtype=np.int64)
+        t, by_y = np.zeros(m, dtype=np.int64), np.zeros(N, dtype=np.int64)
         k4 = c4 = 0
         for i in ids.tolist():
             fn, i0, i1 = jobs[i]
             if fn is triangles:
                 k4 += triangles(i0, i1, t)
             else:
-                c4 += cycles(i0, i1)
+                c4 += cycles(i0, i1, by_y)
         return t, k4, c4
 
     parts = _parallel_map(share, np.arange(len(jobs)), workers)
@@ -152,11 +161,12 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
 
     # every other total sums edge_tallies over the edges; K and Q fill in the
     # two tallies that t(e) and the degrees do not determine
-    c = [0] * 17
-    for i in range(0, m, local.BUDGET):
-        e = slice(i, i + local.BUDGET)
-        cols = edge_tallies(t[e], 0, 0, deg[lo[e]], deg[hi[e]], n, m)
-        c = [acc + isum(x) for acc, x in zip(c, cols)]
+    c = np.zeros(17, dtype=object)
+    for i in range(0, m, local.CHUNK):
+        e = slice(i, i + local.CHUNK)
+        c += isum(np.stack(np.broadcast_arrays(
+            *edge_tallies(t[e], 0, 0, deg[lo[e]], deg[hi[e]], n, m))))
+    c = c.tolist()
     c[6] = 6 * k4
     c[9] = 4 * (c4 - (c[7] - 6 * k4) - 3 * k4)  # induced: minus diamonds and K4s
     return c

@@ -224,9 +224,15 @@ def test_batches_keep_to_the_edge_cap_and_budget(monkeypatch):
 
     monkeypatch.setattr(local.ZoneKernel, "_batch", spy)
     monkeypatch.setattr(local, "BUDGET", 1500)
-    kernel.tallies(g.edges[np.argsort(-g.edge_hardness(), kind="stable")])
+    ends = g.edges[np.argsort(-g.edge_hardness(), kind="stable")]
+    kernel.tallies(ends)
     assert sum(size for size, _ in batches) == g.m
     # a batch over the budget is one edge alone; reach bounds what a batch gathers
     assert all(size <= local.EDGES and (work <= 1500 or size == 1) for size, work in batches)
     assert {size for size, work in batches if work > 1500} == {1}
     assert max(size for size, _ in batches) == local.EDGES
+    # a batch ends only where the edge cap or the budget ends it
+    reach = kernel.reach[ends].sum(axis=1)
+    starts = np.cumsum([size for size, _ in batches])[:-1]
+    assert all(size == local.EDGES or work + reach[at] > 1500
+               for (size, work), at in zip(batches, starts))

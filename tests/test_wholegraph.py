@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gen import assert_no_child_left, suite_graphs
+from gen import assert_no_child_left, gen_power_law, suite_graphs
 from graphlets import (
     Graph,
     MicroKernel,
@@ -40,15 +41,15 @@ def test_totals_equal_edge_kernel(name):
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_tiny_budget_splits_chunks(name, monkeypatch):
     # a few entries per chunk: the listing spans many ids, and a top vertex with
-    # more wedges than that spans several chunks of its own id, whose runs must
-    # merge across them
+    # more wedges than that spans several chunks of its own id, whose run
+    # lengths must add up across them
     monkeypatch.setattr(local, "BUDGET", 5)
     assert wholegraph.edge_totals(SUITE[name]) == kernel_totals(SUITE[name])
 
 
-@pytest.mark.parametrize("budget", [local.BUDGET, 5])
+@pytest.mark.parametrize("budget", [local.BUDGET, 5], ids=["default", "5"])
 def test_totals_equal_at_any_worker_count(budget, monkeypatch, eight_cpus):
-    # at 5 the map has many ids, and each heavy top merges its chunks in a
+    # at 5 the map has many ids, and each heavy top adds up its chunks in a
     # forked share as well as in this process
     monkeypatch.setattr(local, "BUDGET", budget)
     for name, g in SUITE.items():
@@ -105,6 +106,7 @@ def test_exact_sum_past_int64():
     x = np.full(3, 2**62, dtype=np.int64)
     assert local.isum(x) == 3 * 2**62
     assert local.isum(-x) == -3 * 2**62
+    assert local.isum(np.stack([x, -x])).tolist() == [3 * 2**62, -3 * 2**62]  # by row
 
 
 def single_edge(n):
@@ -123,6 +125,49 @@ def test_exact_at_the_largest_n():
     want[4], want[5] = r, math.comb(n, 3) - r
     want[15], want[16] = math.comb(r, 2), math.comb(n, 4) - math.comb(r, 2)
     assert X == want
+
+
+def test_sliced_reduction_exact_at_the_largest_n(monkeypatch):
+    # a triangle with a tail of two edges among 2**31 - 1 vertices: C(r, 2) is
+    # near 2**61 on each edge, so its five one-edge slices sum past int64
+    n, edges = 2**31 - 1, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+    deg, t = [2, 2, 3, 2, 1], [1, 1, 1, 0, 0]
+    g = Graph(n=n, indptr=np.array([0, 2, 4, 7, 9, 10]),
+              indices=np.array([1, 2, 0, 2, 0, 1, 3, 2, 4, 3], dtype=np.int32),
+              edges=np.array(edges))
+    want = [sum(col) for col in zip(*(local.edge_tallies(te, 0, 0, deg[u], deg[v], n, 5)
+                                      for (u, v), te in zip(edges, t)))]
+    assert wholegraph.edge_totals(g) == want
+    monkeypatch.setattr(local, "CHUNK", 1)
+    assert wholegraph.edge_totals(g) == want
+    assert want[14] > 2**63
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_sliced_reduction_sums_alike(name, monkeypatch):
+    # the closing reduction walks t(e) in CHUNK slices, never all m at once
+    g = SUITE[name]
+    sizes, tallies = [], wholegraph.edge_tallies
+    monkeypatch.setattr(wholegraph, "edge_tallies",
+                        lambda t, *rest: sizes.append(len(t)) or tallies(t, *rest))
+    monkeypatch.setattr(local, "CHUNK", 5)
+    assert wholegraph.edge_totals(g) == kernel_totals(g)
+    assert max(sizes) <= 5 and sum(sizes) == g.m
+
+
+@pytest.mark.parametrize("n, avg_deg, seed", [(30000, 5.0, 0), (20000, 4.0, 3)])
+def test_working_set_per_edge(n, avg_deg, seed):
+    # numpy reports its buffers to tracemalloc, so the traced peak is the same
+    # on every run; an m-length array per id, or the tally columns at length
+    # m, would take it past 200 bytes an edge
+    g = gen_power_law(n, avg_deg, seed)
+    tracemalloc.start()
+    try:
+        wholegraph.edge_totals(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * g.m, peak / g.m
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
