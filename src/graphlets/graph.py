@@ -14,7 +14,12 @@ lines and lines whose first token starts with ``#`` or ``%`` are dropped.
 ASCII text broken only by ``\\n`` or ``\\r\\n``, whose data rows hold nothing
 but digits, spaces, tabs and commas in tokens of at most 18 digits, is
 tokenized from its bytes in numpy; any other text goes through Python strings.
-Both routes yield the same tokens.  Under ``fmt="auto"``:
+Both routes yield the same tokens.  The byte route reads the text in blocks of
+about ``BLOCK`` bytes, each ending just after a ``\\n`` (a longer line is a
+block of its own).  A block encodes only its own slice and writes its tokens,
+row widths and line numbers straight into the output arrays, so no scratch
+array is as long as the text; a block that refuses the byte route refuses the
+whole text.  Under ``fmt="auto"``:
 
 1. a ``%%MatrixMarket`` banner (or ``fmt="mtx"``) means MatrixMarket: a
    ``rows cols nnz`` line, nnz 1-based ``i j [value]`` rows, n = max(rows, cols);
@@ -310,14 +315,26 @@ def _str_tokens(text: str):
     return first, np.array(flat, dtype=str), widths, lineno
 
 
-# Byte classes of the numeric route.  _BREAK holds the ASCII line breaks of
-# str.splitlines other than \n and \r\n; _MARK and _ODD bytes may stand only
-# in comment lines.
-_DIGIT, _SEP, _LF, _CR, _BREAK, _MARK, _ODD = range(7)
+# Byte classes of the numeric route.  _MARK and _ODD bytes may stand only in
+# comment lines.  _BREAK holds the ASCII line breaks of str.splitlines other
+# than \n and \r\n; it is the largest class, so one max() finds them.
+_DIGIT, _SEP, _LF, _CR, _MARK, _ODD, _BREAK = range(7)
 _BYTE_CLASS = np.full(256, _ODD, dtype=np.uint8)
 for _chars, _cls in [(b"0123456789", _DIGIT), (b" \t,", _SEP), (b"\n", _LF),
                      (b"\r", _CR), (b"\v\f\x1c\x1d\x1e", _BREAK), (b"#%", _MARK)]:
     _BYTE_CLASS[list(_chars)] = _cls
+_CLASSES = _BYTE_CLASS.tobytes()  # bytes.translate tables: 3-4x a fancy index
+_VALUES = bytes(48) + bytes(range(10)) + bytes(198)  # digit -> its value, else 0
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+# The byte route reads its text in blocks of about BLOCK bytes of whole lines,
+# so its dozen scratch arrays stay in the cache and in heap pages already
+# held; at the length of the text each would take a fresh page every 4 KiB,
+# and a fresh page costs 2-3 us on a 2-vCPU VM.  Tokenizing the perfbench pl
+# (0.8 MB) and snap (2.1 MB) inputs, 2^15 to 2^18 read about the same; 2^14
+# was 1.2-1.3x slower, its fixed numpy calls per block no longer paid for,
+# and one block of the whole text 1.25x (pl) and 1.75x (snap).
+BLOCK = 2**17
 
 
 def _byte_tokens(text: str):
@@ -326,52 +343,100 @@ def _byte_tokens(text: str):
     Applies to ASCII text broken only by \n or \r\n whose data rows hold
     digits, spaces, tabs and commas alone, in tokens of at most 18 digits.
     Tokens are then the digit runs, and a line is a comment when its first
-    byte that is not a space, tab or comma is ``#`` or ``%``.
+    byte that is not a space, tab or comma is ``#`` or ``%``.  The text is
+    read one block of whole lines at a time (``BLOCK``), each writing its
+    tokens, row widths and line numbers into the outputs; a block that
+    refuses refuses the text.
     """
     if not text.isascii():
         return None
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
-    cls = _BYTE_CLASS[b]
-    cr = np.flatnonzero(cls == _CR)
-    # a \r must precede \n; a final \r is clamped to read itself
-    if (cls == _BREAK).any() or (b[np.minimum(cr + 1, len(b) - 1)] != 10).any():
-        return None
-    lf = np.flatnonzero(cls == _LF)  # line r ends at lf[r], the last at len(b)
-    digit = np.zeros(len(b) + 2, dtype=bool)
-    np.equal(cls, _DIGIT, out=digit[1:-1])
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[::2], bounds[1::2]  # digit run i is b[starts[i]:ends[i]]
-    cum = np.concatenate([[0], np.searchsorted(starts, lf), [len(starts)]])
-    wid = np.diff(cum)  # line r holds runs cum[r]:cum[r + 1]
-    odd = np.flatnonzero(cls >= _MARK)
-    del cls, digit
-    line = np.searchsorted(lf, odd)
-    head = np.diff(line, prepend=-1) != 0  # the first odd byte of its line
-    odd, line = odd[head], line[head]
-    # so each such line must be a comment: that byte is # or %, no run before it
-    if ((_BYTE_CLASS[b[odd]] != _MARK).any()
-            or (np.searchsorted(starts, odd) > cum[line]).any()):
-        return None
-    uncommented = np.ones(len(wid), dtype=bool)
-    uncommented[line] = False
-    keep = np.repeat(uncommented, wid)
-    starts, ends = starts[keep], ends[keep]
-    wid[line] = 0
-    if not len(starts):
+    lines = text.count("\n") + 1  # so at most this many rows
+    tok = np.empty(2 * lines, dtype=np.int64)  # grown when rows hold more
+    widths = np.empty(lines, dtype=np.int64)
+    lineno = np.empty(lines, dtype=np.int64)
+    first, ntok, nrow, line0, lo = None, 0, 0, 1, 0
+    while lo < len(text):
+        hi = lo + BLOCK  # then back to a \n, or on to one past a longer line
+        hi = (len(text) if hi >= len(text) else
+              text.rfind("\n", lo, hi) + 1 or text.find("\n", hi) + 1 or len(text))
+        pb = b" " + text[lo:hi].encode("ascii") + b" "  # a space before each run
+        lo = hi
+        block = _block_runs(pb, first is None)
+        if block is None:
+            return None
+        head, pre, last, rows, wid, breaks = block
+        first = first or head
+        k, r = len(pre), len(rows)
+        if ntok + k > len(tok):  # a new array: its tail repeats tok, to be overwritten
+            tok = np.resize(tok, max(2 * len(tok), ntok + k))
+        _digit_values(pb, pre, last, out=tok[ntok:ntok + k])
+        widths[nrow:nrow + r] = wid
+        np.add(rows, line0, out=lineno[nrow:nrow + r])
+        ntok, nrow, line0 = ntok + k, nrow + r, line0 + breaks
+    if not ntok:
         return None  # no data rows: the str route's (empty) outcome is cheap
-    lens = ends - starts
-    if lens.max() > 18:
+    # Copied out at their length, not resized in place.  With the capacity
+    # arrays held to the end of the parse, a CLI estimate on the 2 MB perfbench
+    # SNAP input peaked 5 MB higher: its heap was as large, but the zone
+    # kernel's arrays landed on more of the pages the parse had trimmed.
+    return first, tok[:ntok].copy(), widths[:nrow].copy(), lineno[:nrow].copy()
+
+
+def _block_runs(pb: bytes, want_first: bool):
+    """One block's digit runs, or None when it refuses the text.
+
+    ``pb`` is the block's whole lines with a space on each side.  Returns the
+    first non-blank line's tokens (None unless ``want_first`` and it is in
+    this block), each data run's ``pre`` (the byte before it) and ``last``
+    (its last digit), the data rows' line indices in the block, their
+    widths, and the block's number of line breaks.
+    """
+    if b"\r" in pb and pb.count(b"\r") != pb.count(b"\r\n"):
+        return None  # a \r must precede \n, so a final \r refuses
+    cls = np.frombuffer(pb.translate(_CLASSES), np.uint8)
+    top = cls.max()
+    if top == _BREAK:
+        return None
+    lf = np.flatnonzero(cls == _LF)  # line r ends at lf[r], the last at len(pb)
+    digit = cls == _DIGIT
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    pre, last = bounds[::2], bounds[1::2]  # run i is pb[pre[i] + 1:last[i] + 1]
+    cum = np.concatenate([[0], np.searchsorted(pre, lf), [len(pre)]])
+    wid = np.diff(cum)  # line r holds runs cum[r]:cum[r + 1]
+    line = lf[:0]  # the comment lines
+    if top >= _MARK:
+        odd = np.flatnonzero(cls >= _MARK)
+        line = np.searchsorted(lf, odd)
+        lead = np.diff(line, prepend=-1) != 0  # the first odd byte of its line
+        odd, line = odd[lead], line[lead]
+        # so each such line must be a comment: that byte is # or %, no run before it
+        if (cls[odd] != _MARK).any() or (np.searchsorted(pre, odd) > cum[line]).any():
+            return None
+        uncommented = np.ones(len(wid), dtype=bool)
+        uncommented[line] = False
+        keep = np.repeat(uncommented, wid)
+        pre, last = pre[keep], last[keep]
+        wid[line] = 0
+    if (last - pre).max(initial=0) > 18:
         return None
     rows = np.flatnonzero(wid)
-    r = min(rows[:1].tolist() + line[:1].tolist())  # the first non-blank line
-    lo, hi = (lf[r - 1] + 1 if r else 0), (lf[r] if r < len(lf) else len(b))
-    first = text[lo:hi].replace(",", " ").split()
-    tok = np.zeros(len(starts), dtype=np.int64)
-    for j in range(lens.max()):  # add each run's j-th digit from the right, times 10**j
-        d = b[ends - 1 - j].astype(np.int64) - 48  # index -1 only where masked
-        d[lens <= j] = 0
-        tok += d * 10**j
-    return first, tok, wid[rows], rows + 1
+    head = None
+    if want_first and (len(rows) or len(line)):
+        r = min(rows[:1].tolist() + line[:1].tolist())  # the first non-blank line
+        lo, hi = (lf[r - 1] + 1 if r else 0), (lf[r] if r < len(lf) else len(pb))
+        head = pb[lo:hi].decode("ascii").replace(",", " ").split()
+    return head, pre, last, rows, wid[rows], len(lf)
+
+
+def _digit_values(pb: bytes, pre: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
+    """Write each run pb[pre + 1:last + 1] of decimal digits into ``out`` as an int."""
+    value = np.frombuffer(pb.translate(_VALUES), np.uint8)
+    at = last.copy()
+    out[:] = value[at]
+    for j in range(1, int((last - pre).max(initial=0))):  # each run's j-th digit from the right
+        at -= 1
+        np.maximum(at, pre, out=at)  # a run past its start reads the 0 before it
+        out += value[at] * _POW10[j]
 
 
 def _naturals(tokens) -> list[int] | None:

@@ -284,7 +284,7 @@ def routes_agree(text, fmt="auto") -> bool:
     return True
 
 
-@pytest.mark.parametrize("text, byte_route", [
+ROUTE_CASES = [
     ("0 1\n# c 5 6\n1 2\n\n% d\n2 0", True),  # comments between rows, no final \n
     (",# x\n0 1\r\n1 2\r\n", True),  # ",# x" is a comment
     ("1#2\n0 1\n", False),  # "1#2" is one token, not a comment
@@ -298,7 +298,10 @@ def routes_agree(text, fmt="auto") -> bool:
     ("0 1\n1 2\u2028", False),
     ("# only a comment\n", False),
     (MTX + "3 3 2\n2 1\n3 1\n", True),
-])
+]
+
+
+@pytest.mark.parametrize("text, byte_route", ROUTE_CASES)
 def test_routes_agree_on(text, byte_route):
     assert routes_agree(text) is byte_route
     assert routes_agree(text, "edgelist") is byte_route
@@ -340,6 +343,41 @@ def graph_texts(draw):
 @given(graph_texts(), st.sampled_from(FORMATS))
 def test_byte_and_str_routes_agree(text, fmt):
     routes_agree(text, fmt)
+
+
+# Texts for small blocks: rows across every boundary, blocks of blank or
+# comment lines alone, a \r\n at a block's end, and a refusal (a final \r, a
+# 19-digit token, a "-", an odd byte) that only a later block holds.
+ROWS = "0 1\n12345 67890\r\n2\t3\n"
+BLOCK_CASES = [
+    (ROWS * 8, True),
+    ("\n" * 70 + "# head 1\n" * 9 + ROWS + "\n\n%" + "x" * 70 + "\n" + ROWS, True),
+    (ROWS + "\n" * 70 + "# c\n" * 20 + ROWS.rstrip(), True),
+    ("0 1\r\n" * 30, True),
+    (MTX + "3 3 3\n" + "2 1 5\n3 1 7\n3 2 9\n" * 9, True),
+    ("1 2 3 4 5 6 7 8 9\n" * 8, True),  # more tokens than two a line
+    (ROWS * 8 + "0 1\r", False),
+    (ROWS * 8 + "0 1234567890123456789\n", False),
+    (ROWS * 8 + "-1 2\n", False),
+    (ROWS * 8 + "1 a\n", False),
+    (ROWS * 8 + "# \x1f\x00 ok\n1 2\x0b\n", False),
+    (ROWS * 8 + "# \x1f\x00 ok\n" + ROWS, True),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("text, byte_route", ROUTE_CASES + BLOCK_CASES)
+def test_routes_agree_across_blocks(text, byte_route, block, monkeypatch):
+    monkeypatch.setattr(graph, "BLOCK", block)
+    for fmt in FORMATS:
+        assert routes_agree(text, fmt) is byte_route
+
+
+@settings(max_examples=150)
+@given(graph_texts(), st.sampled_from(FORMATS), st.sampled_from([1, 7, 64]))
+def test_routes_agree_in_small_blocks(text, fmt, block):
+    with mock.patch.object(graph, "BLOCK", block):
+        routes_agree(text, fmt)
 
 
 # ---------------------------------------------------------------------------

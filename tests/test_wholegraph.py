@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gen import assert_no_child_left, gen_power_law, suite_graphs
+from gen import assert_no_child_left, gen_power_law, serialize, suite_graphs
 from graphlets import (
     Graph,
     MicroKernel,
@@ -17,6 +17,7 @@ from graphlets import (
     brute_force_counts,
     exact_counts,
     from_edges,
+    parse_graph,
     scaled_contributions,
     unrestricted_counts,
 )
@@ -168,6 +169,32 @@ def test_working_set_per_edge(n, avg_deg, seed):
     finally:
         tracemalloc.stop()
     assert peak <= 200 * g.m, peak / g.m
+
+
+def snap_text(n: int, m: int, seed: int) -> str:
+    """A SNAP-style edge list: a # header, tab separators, sparse 7-digit ids."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(9 * 10**6, size=n, replace=False) + 10**6
+    rows = ids[rng.integers(0, n, size=(m, 2))]
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    head = f"# Directed graph\n# Nodes: {n} Edges: {len(rows)}\n# FromNodeId\tToNodeId\n"
+    return head + "\n".join(map("{}\t{}".format, *rows.T.tolist())) + "\n"
+
+
+@pytest.mark.parametrize("make", [lambda: snap_text(60000, 130000, 0),  # 2.1 MB
+                                  lambda: serialize(gen_power_law(30000, 5.0, 0))],
+                         ids=["snap", "canonical"])
+def test_parse_working_set_per_text_byte(make):
+    # the byte route's scratch arrays are a block long: a dozen text-length
+    # ones would take the traced peak of a parse past 10 bytes a text byte
+    text = make()
+    tracemalloc.start()
+    try:
+        parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
