@@ -315,10 +315,10 @@ def _str_tokens(text: str):
     return first, np.array(flat, dtype=str), widths, lineno
 
 
-# Byte classes of the numeric route.  _MARK and _ODD bytes may stand only in
-# comment lines.  _BREAK holds the ASCII line breaks of str.splitlines other
-# than \n and \r\n; it is the largest class, so one max() finds them.
-_DIGIT, _SEP, _LF, _CR, _MARK, _ODD, _BREAK = range(7)
+# Byte classes of the numeric route.  _BREAK holds the ASCII line breaks of
+# str.splitlines other than \n and \r\n; _MARK and _ODD bytes may stand only
+# in comment lines.
+_DIGIT, _SEP, _LF, _CR, _BREAK, _MARK, _ODD = range(7)
 _BYTE_CLASS = np.full(256, _ODD, dtype=np.uint8)
 for _chars, _cls in [(b"0123456789", _DIGIT), (b" \t,", _SEP), (b"\n", _LF),
                      (b"\r", _CR), (b"\v\f\x1c\x1d\x1e", _BREAK), (b"#%", _MARK)]:
@@ -394,8 +394,7 @@ def _block_runs(pb: bytes, want_first: bool):
     if b"\r" in pb and pb.count(b"\r") != pb.count(b"\r\n"):
         return None  # a \r must precede \n, so a final \r refuses
     cls = np.frombuffer(pb.translate(_CLASSES), np.uint8)
-    top = cls.max()
-    if top == _BREAK:
+    if (cls == _BREAK).any():
         return None
     lf = np.flatnonzero(cls == _LF)  # line r ends at lf[r], the last at len(pb)
     digit = cls == _DIGIT
@@ -403,20 +402,18 @@ def _block_runs(pb: bytes, want_first: bool):
     pre, last = bounds[::2], bounds[1::2]  # run i is pb[pre[i] + 1:last[i] + 1]
     cum = np.concatenate([[0], np.searchsorted(pre, lf), [len(pre)]])
     wid = np.diff(cum)  # line r holds runs cum[r]:cum[r + 1]
-    line = lf[:0]  # the comment lines
-    if top >= _MARK:
-        odd = np.flatnonzero(cls >= _MARK)
-        line = np.searchsorted(lf, odd)
-        lead = np.diff(line, prepend=-1) != 0  # the first odd byte of its line
-        odd, line = odd[lead], line[lead]
-        # so each such line must be a comment: that byte is # or %, no run before it
-        if (cls[odd] != _MARK).any() or (np.searchsorted(pre, odd) > cum[line]).any():
-            return None
-        uncommented = np.ones(len(wid), dtype=bool)
-        uncommented[line] = False
-        keep = np.repeat(uncommented, wid)
-        pre, last = pre[keep], last[keep]
-        wid[line] = 0
+    odd = np.flatnonzero(cls >= _MARK)
+    line = np.searchsorted(lf, odd)
+    lead = np.diff(line, prepend=-1) != 0  # the first odd byte of its line
+    odd, line = odd[lead], line[lead]
+    # so each such line must be a comment: that byte is # or %, no run before it
+    if (cls[odd] != _MARK).any() or (np.searchsorted(pre, odd) > cum[line]).any():
+        return None
+    uncommented = np.ones(len(wid), dtype=bool)
+    uncommented[line] = False
+    keep = np.repeat(uncommented, wid)
+    pre, last = pre[keep], last[keep]
+    wid[line] = 0
     if (last - pre).max(initial=0) > 18:
         return None
     rows = np.flatnonzero(wid)
@@ -436,7 +433,8 @@ def _digit_values(pb: bytes, pre: np.ndarray, last: np.ndarray, out: np.ndarray)
     for j in range(1, int((last - pre).max(initial=0))):  # each run's j-th digit from the right
         at -= 1
         np.maximum(at, pre, out=at)  # a run past its start reads the 0 before it
-        out += value[at] * _POW10[j]
+        # dtype=: numpy 1.x's value-based casting would multiply in uint8 and wrap
+        out += np.multiply(value[at], _POW10[j], dtype=np.int64)
 
 
 def _naturals(tokens) -> list[int] | None:
