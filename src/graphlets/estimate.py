@@ -10,12 +10,12 @@ per-edge tallies are summed and divided by its pi, and the overcounts are
 folded out of the totals with the fixed correction weights.  The variance
 estimate is the sum over drawn edges of (1 - pi) / pi^2 times the squared
 contribution.
-All accumulation is exact integer arithmetic (128-bit is a floor, Python
-ints do not overflow), so results are bitwise identical for any worker
-count or batch split; floats appear only where a sampled level's sums are
-divided by its pi, and exact counts stay integers.  ``exact_counts`` takes
-its totals from the whole-graph pass of ``wholegraph``, which splits over the
-same parallel map, not from this per-edge accumulation.
+All accumulation is exact integer arithmetic (int64 summed in 32-bit halves
+or ``LIMB``-bit limbs, Python ints only in the totals), so results are bitwise
+identical for any worker count or batch split; floats appear only where a
+sampled level's sums are divided by its pi, and exact counts stay integers.
+``exact_counts`` takes its totals from the whole-graph pass of ``wholegraph``,
+which splits over the same parallel map, not from this per-edge accumulation.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -42,6 +42,11 @@ from .local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
+# bits per limb in ``_square_sums``: tallies are below 2**61 (C(n, 2) or (n/2)**2
+# at most), so three limbs hold them when 3 LIMB >= 61; the row abs-sums of
+# ``scaled_contributions`` (apply it to np.eye(17)) are at most 84 < 2**7, so a
+# product of two limb images is below 2**(2 LIMB + 14) <= 2**62: 21 <= LIMB <= 24.
+LIMB = 21
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ def scaled_contributions(c) -> tuple:
     12, plus constants) they are ``_chain``.  Slots 1 and 2 are constants and
     get 0; the complement slots 6 and 17 carry the negated level sums, so
     variance propagates through the complements too.  ``c`` may hold ints,
-    Fractions or arrays of Python ints.
+    Fractions or integer arrays.
     """
     z = [0] * 17
     z[2] = 4 * c[2]
@@ -165,6 +170,18 @@ def scaled_contributions(c) -> tuple:
     return tuple(z)
 
 
+def _square_sums(c) -> np.ndarray:
+    """Exact sums of z^2 by slot (Python ints), z = ``scaled_contributions`` of each
+    column of the 17 tally rows ``c`` in [0, 2**61): the map is linear, so c's limbs
+    map to limbs Zj of z, and z^2 sums ZiZj 2^(LIMB (i + j)) over limb pairs."""
+    x = np.asarray(c, dtype=np.int64)
+    Z = np.zeros((3,) + x.shape, dtype=np.int64)
+    for j in range(3):  # slots 1 and 2 are constants: their z stays 0
+        Z[j, 2:] = scaled_contributions((x >> LIMB * j) & ((1 << LIMB) - 1))[2:]
+    s = {(i, j): isum(Z[i] * Z[j]) for i in range(3) for j in range(i, 3)}
+    return sum(s[i, j] << LIMB * (i + j) + (i < j) for i, j in s)  # i < j comes twice
+
+
 def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
                        with_sq: bool) -> list[UnrestrictedAccumulator]:
     """One accumulator per level: exact sums of c(e), and of z(e)^2 when
@@ -172,29 +189,29 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
     inclusion is ``inclusions[level]``.
 
     ``local.ZoneKernel`` gives (t, K_e, C_e) for a chunk of edges at a time, and
-    their tallies and scaled contributions are evaluated together.  The squares go
-    through Python ints: z reaches about 6 r^2, so z^2 overflows int64 past r = 22,600.
+    their tallies are stacked into one (17, k) int64 array.  z^2 overflows int64
+    past r = 22,600, so ``_square_sums`` sums it in int64 limbs.
     """
     kernel = zone_kernel(g)
-    counts = [[0] * 17 for _ in inclusions]
-    sq = [[0] * 17 for _ in inclusions]
+    counts = np.zeros((len(inclusions), 17), dtype=object)
+    sq = np.zeros_like(counts)
     for i in range(0, len(rows), local.CHUNK):
         ids, level = rows[i:i + local.CHUNK].T
         ends = g.edges[ids].astype(np.int64)
         du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
         t, M, _ = kernel.tallies(ends)
-        c = edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m)
-        for q in np.unique(level).tolist():
-            at = level == q
-            cq = [x[at] for x in c]
-            counts[q] = [acc + isum(x) for acc, x in zip(counts[q], cq)]
+        c = np.array(edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m),
+                     dtype=np.int64)
+        levels = np.unique(level).tolist()
+        for q in levels:
+            cq = c if len(levels) == 1 else c[:, level == q]
+            counts[q] += isum(cq)
             if with_sq:
-                z = scaled_contributions([x.astype(object) for x in cq])
-                sq[q] = [acc + int(np.sum(x * x)) for acc, x in zip(sq[q], z)]
+                sq[q] += _square_sums(cq)
     sizes = np.bincount(rows[:, 1], minlength=len(inclusions)).tolist()
     return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, k_used=k,
                                     inclusion=q)
-            for c, s, k, q in zip(counts, sq, sizes, inclusions)]
+            for c, s, k, q in zip(counts.tolist(), sq.tolist(), sizes, inclusions)]
 
 
 def _cpus() -> set:

@@ -84,17 +84,19 @@ def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) 
 
 
 class ZoneKernel:
-    """Mark words and up-lists of one graph.  The n words are zero between
-    batches, so their untouched pages cost no RSS; ``reach[x]``, the sum over
-    N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x."""
+    """Mark words (one per CSR vertex) and up-lists of one graph.  The words are
+    zero between batches, so their untouched pages cost no RSS; ``reach[x]``, the
+    sum over N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x."""
 
     def __init__(self, g: Graph):
         self.g, self.deg = g, g.degrees
         rank = self.deg * len(self.deg) + np.arange(len(self.deg))  # (degree, id) order
         above = rank[g.indices] > np.repeat(rank, self.deg)
-        self.up = np.concatenate([[0], np.cumsum(above)])[g.indptr], g.indices[above]
-        self.words = np.zeros(g.n, dtype=np.int64)
-        run = np.concatenate([[0], np.cumsum(1 + np.diff(self.up[0])[g.indices])])
+        run = np.zeros(len(g.indices) + 1, dtype=np.int64)  # both prefix sums, in turn
+        np.cumsum(above, dtype=np.int64, out=run[1:])
+        self.up = run[g.indptr], g.indices[above]
+        self.words = np.zeros(len(self.deg), dtype=np.int64)
+        np.cumsum((1 + np.diff(self.up[0]))[g.indices], out=run[1:])
         self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]
 
     def tallies(self, ends: np.ndarray):

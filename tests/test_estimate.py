@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gen import assert_no_child_left, gen_er, gen_power_law, named_graphs
+from gen import assert_no_child_left, gen_er, gen_power_law, named_graphs, suite_graphs
 from graphlets import (
     SampleDesign,
     accumulate,
@@ -226,6 +228,68 @@ def test_worker_count_capped_at_available_cpus(monkeypatch):
     assert max_per_edge(g, "4-cycle", workers=2) == max_per_edge(g, "4-cycle", workers=1)
     monkeypatch.setattr(local, "BUDGET", 5)  # many ids, all run in this process
     assert exact_counts(g, workers=5000).X == exact_counts(g, workers=1).X
+
+
+def python_square_sums(cols) -> list:
+    """Sum of z * z per slot over the tally vectors ``cols``, in Python ints."""
+    sq = [0] * 17
+    for c in cols:
+        sq = [acc + z * z for acc, z in zip(sq, scaled_contributions(c))]
+    return sq
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["er3", "planted", "power_law"])
+def test_squares_match_python_ints(name, workers):
+    # an oracle apart from the limbs: each drawn edge's z squared as Python
+    # ints, repeats included, level by level
+    g = suite_graphs()[name]
+    ids = sample_edges(g, SampleDesign(p=0.2, seed=1))
+    ids = np.concatenate([ids, ids[::3]])
+    acc = accumulate(g, ids, workers, with_sq=True, inclusion=Fraction(1, 5))
+    assert acc.sq == python_square_sums(unrestricted_counts(g, e) for e in ids.tolist())
+    ids, pi = _draw(g, SampleDesign(p=0.2, weighting="kcore", seed=2))
+    ids = np.concatenate([ids, ids[::3]])
+    levels, level = np.unique(pi[ids], return_inverse=True)
+    assert len(levels) >= 2
+    accs = estimate._accumulate_levels(g, ids, level, [Fraction(q) for q in levels],
+                                       workers, with_sq=True)
+    for q, acc in enumerate(accs):
+        at = ids[level == q].tolist()
+        assert acc.sq == python_square_sums(unrestricted_counts(g, e) for e in at), q
+
+
+@given(st.sampled_from([0, 1, 2, local.CHUNK]), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 16)))
+@example(local.CHUNK, 0, set(range(17)))  # a whole chunk, every entry at the top
+@example(local.CHUNK, 1, set())
+def test_square_sums_exact_on_any_tally_stack(k, seed, maxed):
+    # tallies lie in [0, 2**61): limbs of random width, and whole rows at the top
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2**61, size=(17, k)) >> rng.integers(0, 61, size=(17, 1))
+    x[sorted(maxed)] = 2**61 - 1
+    got = estimate._square_sums(x).tolist()
+    assert got == python_square_sums(x.T.tolist())
+    assert all(type(s) is int for s in got)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_square_sums_widen_int32_tallies(seed):
+    # t and the degrees in int32, as small as every tally fits int32; z * z
+    # passes int64, so a square taken in the tallies' own dtype would wrap
+    rng = np.random.default_rng(seed)
+    n, k = 46_000, 200
+    du, dv = rng.integers(1, n // 2, size=(2, k)).astype(np.int32)
+    t = rng.integers(0, np.minimum(du, dv)).astype(np.int32)
+    k4 = rng.integers(0, t.astype(np.int64) * (t - 1) // 2 + 1).astype(np.int32)
+    cyc = rng.integers(0, (du - 1 - t).astype(np.int64) * (dv - 1 - t) + 1).astype(np.int32)
+    m = int(rng.integers((du + dv).max() - 1, n * (n - 1) // 2))
+    c = local.edge_tallies(t, k4, cyc, du, dv, n, m)
+    assert {x.dtype for x in c} == {np.dtype(np.int32)}
+    want = python_square_sums(local.edge_tallies(*row, n, m)
+                              for row in zip(*(a.tolist() for a in (t, k4, cyc, du, dv))))
+    assert max(want) > 2**64
+    assert estimate._square_sums(c).tolist() == want
 
 
 def test_parallel_map_runs_interleaved_shares(eight_cpus):

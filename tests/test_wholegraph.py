@@ -128,16 +128,22 @@ def test_exact_at_the_largest_n():
     assert X == want
 
 
-def test_sliced_reduction_exact_at_the_largest_n(monkeypatch):
-    # a triangle with a tail of two edges among 2**31 - 1 vertices: C(r, 2) is
-    # near 2**61 on each edge, so its five one-edge slices sum past int64
-    n, edges = 2**31 - 1, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
-    deg, t = [2, 2, 3, 2, 1], [1, 1, 1, 0, 0]
+def tailed_triangle(n):
+    """A triangle with a tail of two edges among n vertices, and each edge's
+    tallies from ``edge_tallies`` on Python ints; nothing of length n is
+    allocated."""
+    edges, deg, t = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], [2, 2, 3, 2, 1], [1, 1, 1, 0, 0]
     g = Graph(n=n, indptr=np.array([0, 2, 4, 7, 9, 10]),
               indices=np.array([1, 2, 0, 2, 0, 1, 3, 2, 4, 3], dtype=np.int32),
               edges=np.array(edges))
-    want = [sum(col) for col in zip(*(local.edge_tallies(te, 0, 0, deg[u], deg[v], n, 5)
-                                      for (u, v), te in zip(edges, t)))]
+    return g, [local.edge_tallies(te, 0, 0, deg[u], deg[v], n, 5)
+               for (u, v), te in zip(edges, t)]
+
+
+def test_sliced_reduction_exact_at_the_largest_n(monkeypatch):
+    # C(r, 2) is near 2**61 on each edge, so the five one-edge slices sum past int64
+    g, cols = tailed_triangle(2**31 - 1)
+    want = [sum(col) for col in zip(*cols)]
     assert wholegraph.edge_totals(g) == want
     monkeypatch.setattr(local, "CHUNK", 1)
     assert wholegraph.edge_totals(g) == want
@@ -215,9 +221,22 @@ def test_small_chunks_reduce_alike(name, monkeypatch):
     assert max(sizes) <= 5 and sum(sizes) == 18 * g.m  # both split at the patched CHUNK
 
 
+def test_squares_exact_at_the_largest_n(monkeypatch):
+    # z of the far-pairs slot is about 6 C(r, 2), near 2**64: its square passes
+    # 2**128, and every one-edge chunk's limbs are summed alike
+    g, cols = tailed_triangle(2**31 - 1)
+    want = [sum(z * z for z in zs) for zs in zip(*map(scaled_contributions, cols))]
+    for chunk in (local.CHUNK, 1):
+        monkeypatch.setattr(local, "CHUNK", chunk)
+        acc = accumulate(g, np.arange(5), with_sq=True, inclusion=Fraction(1, 2))
+        assert acc.sq == want
+        assert acc.counts == [sum(col) for col in zip(*cols)]
+    assert max(want) > 2**128
+
+
 def test_squares_past_int64():
     # z of the far-pairs slot is about 6 r**2 = 2.4e17 here: its square is far
-    # past int64 and float precision, so the squares must stay Python ints
+    # past int64 and float precision, so only the limbs keep it exact
     g = single_edge(2 * 10**8)
     acc = accumulate(g, [0], with_sq=True, inclusion=Fraction(1, 2))
     assert acc.sq == [z * z for z in scaled_contributions(unrestricted_counts(g, 0))]
