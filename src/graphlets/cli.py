@@ -190,7 +190,7 @@ def _cmd_estimate(g, args) -> dict:
         "inclusion": est.p,
         "clamped": [patterns.NAMES[i + 1] for i, c in enumerate(est.clamped) if c],
     }
-    if not args.no_ci and est.variance is not None:
+    if not args.no_ci:
         lb, ub = confidence_bounds(est, alpha=args.alpha)
         payload.update(lb=_named(lb), ub=_named(ub), alpha=args.alpha)
     return payload

@@ -14,8 +14,9 @@ All accumulation is exact integer arithmetic (int64 summed in 32-bit halves
 or ``LIMB``-bit limbs, Python ints only in the totals), so results are bitwise
 identical for any worker count or batch split; floats appear only where a
 sampled level's sums are divided by its pi, and exact counts stay integers.
-``exact_counts`` takes its totals from the whole-graph pass of ``wholegraph``,
-which splits over the same parallel map, not from this per-edge accumulation.
+The tallies come from ``local.ZoneKernel.tallies`` and the workers from
+``local._parallel_map``; ``exact_counts`` takes its totals from the whole-graph
+pass of ``wholegraph`` on the same map, not from this per-edge accumulation.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -25,10 +26,6 @@ makes the exact-integer variance accumulator possible.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -38,7 +35,7 @@ import numpy as np
 
 from . import local, patterns
 from .graph import Graph
-from .local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
+from .local import _parallel_map, isum, zone_kernel
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
@@ -188,20 +185,16 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
     ``with_sq``, over the (edge id, level) ``rows`` at that level, whose
     inclusion is ``inclusions[level]``.
 
-    ``local.ZoneKernel`` gives (t, K_e, C_e) for a chunk of edges at a time, and
-    their tallies are stacked into one (17, k) int64 array.  z^2 overflows int64
-    past r = 22,600, so ``_square_sums`` sums it in int64 limbs.
+    ``local.ZoneKernel.tallies`` gives c(e) for a chunk of edges at a time (Python
+    ints for one edge), stacked into one (17, k) int64 array.  z^2 overflows
+    int64 past r = 22,600, so ``_square_sums`` sums it in int64 limbs.
     """
     kernel = zone_kernel(g)
     counts = np.zeros((len(inclusions), 17), dtype=object)
     sq = np.zeros_like(counts)
     for i in range(0, len(rows), local.CHUNK):
         ids, level = rows[i:i + local.CHUNK].T
-        ends = g.edges[ids].astype(np.int64)
-        du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
-        t, M, _ = kernel.tallies(ends)
-        c = np.array(edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m),
-                     dtype=np.int64)
+        c = np.array(kernel.tallies(g.edges[ids])[0], dtype=np.int64).reshape(17, -1)
         levels = np.unique(level).tolist()
         for q in levels:
             cq = c if len(levels) == 1 else c[:, level == q]
@@ -212,118 +205,6 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
     return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, k_used=k,
                                     inclusion=q)
             for c, s, k, q in zip(counts.tolist(), sq.tolist(), sizes, inclusions)]
-
-
-def _cpus() -> set:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return os.sched_getaffinity(0)
-    return set(range(os.cpu_count() or 1))
-
-
-def _current_cpu() -> int | None:
-    """The CPU this thread last ran on, where Linux's /proc tells it."""
-    try:
-        with open("/proc/thread-self/stat") as f:
-            return int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _start_on(cpu: int | None, cpus: set):
-    """Move this process to ``cpu``, then let it run on any of ``cpus`` again.
-
-    A forked child starts on its parent's CPU, and the scheduler can leave
-    both there, taking turns, for a second or more; one move at the start
-    runs the shares side by side.
-    """
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # the move is only a hint
-        pass
-
-
-def _run_share(fn, share: np.ndarray, fd: int, cpu: int | None, cpus: set):
-    """In a forked child: start on ``cpu``, pickle (True, fn(share), None), or
-    (False, error, traceback) on any failure, to ``fd``; then end the process,
-    so it never returns into the caller's code or flushes its stdio buffers."""
-    try:
-        _start_on(cpu, cpus)
-        try:
-            data = pickle.dumps((True, fn(share), None), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # every failure goes back to the caller
-            tb = traceback.format_exc()
-            try:
-                data = pickle.dumps((False, exc, tb))
-            except Exception:  # an unpicklable error still reports its traceback
-                data = pickle.dumps((False, RuntimeError(tb), tb))
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-    finally:
-        os._exit(0)
-
-
-def _share_result(fd: int, w: int):
-    """What forked share ``w`` pickled to ``fd``; its exception is raised here."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    if not chunks:
-        raise RuntimeError(f"forked share {w} ended without a result")
-    ok, value, tb = pickle.loads(b"".join(chunks))  # bytes our own child wrote
-    if not ok:
-        raise value from RuntimeError(f"in forked share {w}:\n{tb}")
-    return value
-
-
-def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
-    """``fn`` over k interleaved shares ids[w::k] of ``ids``, one result per share.
-
-    k is ``workers``, capped at the CPUs this process may use.  This process
-    runs share 0; each other share runs in a forked child, which inherits
-    ``fn`` and ``ids`` copy-on-write, starts on a CPU other than this
-    process's, and pickles its result back through a pipe (its own process
-    never returns from the fork).  A child's exception is raised here; if
-    this process fails, its children are killed.  Every child is reaped
-    before the call returns.
-    k = 1, fewer than two ids per share, or a platform without ``os.fork``
-    runs ``fn`` on all of ``ids`` in this process.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    cpus = _cpus()
-    k = min(workers, len(cpus))
-    if k == 1 or len(ids) < 2 * k or not hasattr(os, "fork"):
-        return [fn(ids)]
-    here = _current_cpu()
-    spare = sorted(cpus - {here}) if here is not None else [None]  # where children start
-    pids, reads = [], []
-    finished = False
-    try:
-        for w in range(1, k):
-            r, wr = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_share(fn, ids[w::k], wr, spare[(w - 1) % len(spare)], cpus)
-                pids.append(pid)
-            finally:
-                os.close(wr)
-        out = [fn(ids[0::k])]
-        out += [_share_result(r, w) for w, r in enumerate(reads, 1)]
-        finished = True
-        return out
-    finally:
-        for r in reads:
-            os.close(r)
-        for pid in pids:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
@@ -338,10 +219,9 @@ def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions:
     """
     if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
         raise ValueError("edge id out of range")
-    ends = g.edges[ids]
-    hardness = (g.indptr[ends + 1] - g.indptr[ends]).sum(axis=1)
+    kernel = zone_kernel(g)  # built here, so forked workers share its up-lists
+    hardness = kernel.deg[g.edges[ids]].sum(axis=1)
     rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
-    zone_kernel(g)  # built here, so forked workers share its up-lists
     parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
                           rows, workers)
     return [reduce(UnrestrictedAccumulator.merge, accs) for accs in zip(*parts)]

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SampleDesign, _parallel_map, sample_edges
+from .estimate import SampleDesign, sample_edges
 from .graph import Graph
+from .local import _parallel_map
 from .micro import MicroKernel
 from .patterns import resolve_pattern
 

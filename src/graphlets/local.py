@@ -14,12 +14,17 @@ bincount of (edge, zone of the source, code of the target) gives every edge's
 4x4 matrix M of adjacent zone pairs, each pair seen once, from its
 lower-ranked end: the 4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] +
 M[S_v][S_u].
-``edge_tallies`` turns those and the endpoint degrees into the 17 unrestricted
-tallies, for one edge or for arrays of edges.
+``ZoneKernel.tallies`` turns those and the endpoint degrees into the 17
+unrestricted tallies c of ``edge_tallies``: every per-edge caller starts from
+c.  The fork map ``_parallel_map``, which every module's workers run on, is here.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +79,118 @@ def _chunks(work: np.ndarray, most: int | None = None):
         lo = hi
 
 
+def _cpus() -> set:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def _current_cpu() -> int | None:
+    """The CPU this thread last ran on, where Linux's /proc tells it."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _start_on(cpu: int | None, cpus: set):
+    """Move this process to ``cpu``, then let it run on any of ``cpus`` again.
+
+    A forked child starts on its parent's CPU, and the scheduler can leave
+    both there, taking turns, for a second or more; one move at the start
+    runs the shares side by side.
+    """
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # the move is only a hint
+        pass
+
+
+def _run_share(fn, share: np.ndarray, fd: int, cpu: int | None, cpus: set):
+    """In a forked child: start on ``cpu``, pickle (True, fn(share), None), or
+    (False, error, traceback) on any failure, to ``fd``; then end the process,
+    so it never returns into the caller's code or flushes its stdio buffers."""
+    try:
+        _start_on(cpu, cpus)
+        try:
+            data = pickle.dumps((True, fn(share), None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # every failure goes back to the caller
+            tb = traceback.format_exc()
+            try:
+                data = pickle.dumps((False, exc, tb))
+            except Exception:  # an unpicklable error still reports its traceback
+                data = pickle.dumps((False, RuntimeError(tb), tb))
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
+
+
+def _share_result(fd: int, w: int):
+    """What forked share ``w`` pickled to ``fd``; its exception is raised here."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    if not chunks:
+        raise RuntimeError(f"forked share {w} ended without a result")
+    ok, value, tb = pickle.loads(b"".join(chunks))  # bytes our own child wrote
+    if not ok:
+        raise value from RuntimeError(f"in forked share {w}:\n{tb}")
+    return value
+
+
+def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
+    """``fn`` over k interleaved shares ids[w::k] of ``ids``, one result per share.
+
+    k is ``workers``, capped at the CPUs this process may use.  This process
+    runs share 0; each other share runs in a forked child, which inherits
+    ``fn`` and ``ids`` copy-on-write, starts on a CPU other than this
+    process's, and pickles its result back through a pipe (its own process
+    never returns from the fork).  A child's exception is raised here; if
+    this process fails, its children are killed.  Every child is reaped
+    before the call returns.
+    k = 1, fewer than two ids per share, or a platform without ``os.fork``
+    runs ``fn`` on all of ``ids`` in this process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    cpus = _cpus()
+    k = min(workers, len(cpus))
+    if k == 1 or len(ids) < 2 * k or not hasattr(os, "fork"):
+        return [fn(ids)]
+    here = _current_cpu()
+    spare = sorted(cpus - {here}) if here is not None else [None]  # where children start
+    pids, reads = [], []
+    finished = False
+    try:
+        for w in range(1, k):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, ids[w::k], wr, spare[(w - 1) % len(spare)], cpus)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        out = [fn(ids[0::k])]
+        out += [_share_result(r, w) for w, r in enumerate(reads, 1)]
+        finished = True
+        return out
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) -> EdgeLocal:
     """Split V \\ {u, v} into the T / S_u / S_v / far zones; ``marker`` goes unused."""
     kernel = zone_kernel(g)
@@ -100,14 +217,21 @@ class ZoneKernel:
         self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]
 
     def tallies(self, ends: np.ndarray):
-        """(t, M, D) over the edges (u, v) in ``ends``: common neighbors, adjacent
-        zone pairs M[zone of the lower-ranked end][zone of the other] and zone degree
-        sums D[zone], each an array over the edges."""
+        """(c, M, D) over the edges (u, v) in ``ends``: the 17 unrestricted tallies
+        of ``edge_tallies``, adjacent zone pairs M[zone of the lower-ranked
+        end][zone of the other] and zone degree sums D[zone], as arrays over the
+        edges; of one edge, as Python ints, which cost less than arrays."""
         parts = [self._batch(ends[lo:hi])
                  for lo, hi in _chunks(self.reach[ends].sum(axis=1), EDGES)]
         if not parts:  # no edges: one empty batch shapes the empty arrays
             parts = [self._batch(ends)]
-        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+        t, M, D = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        du, dv = self.deg[ends].T
+        if len(ends) == 1:
+            t, M, D, du, dv = (a[..., 0].tolist() for a in (t, M, D, du, dv))
+        c = edge_tallies(t, M[_T][_T], M[_SU][_SV] + M[_SV][_SU], du, dv,
+                         self.g.n, self.g.m)
+        return c, M, D
 
     def _mark(self, ends):
         """Mark a batch; (entries to clear, its sources, 4 * edge + zone of each)."""
@@ -183,6 +307,4 @@ def unrestricted_counts(g: Graph, e, marker: VertexMarker | None = None) -> tupl
     All values are plain Python ints (exact at any scale).
     """
     u, v = resolve_edge(g, e)  # ``marker`` goes unused: the zone kernel keeps its own marks
-    t, M, _ = (a[..., 0].tolist() for a in zone_kernel(g).tallies(np.array([[u, v]])))
-    return edge_tallies(t, M[_T][_T], M[_SU][_SV] + M[_SV][_SU], g.degree(u), g.degree(v),
-                        g.n, g.m)
+    return zone_kernel(g).tallies(np.array([[u, v]]))[0]

@@ -6,18 +6,19 @@ endpoint-missing patterns (ids 2, 6, 17) are always zero and id 1 is always
 one.  Summed over all edges, each count equals the global count times the
 pattern's edge multiplicity (patterns.EDGE_COUNTS).
 
-``local.ZoneKernel`` gives t, the adjacent zone pairs M among T, S_u and S_v
-(each read once, from its lower-ranked end) and the zone degree sums D_T and
-D_S (over S_u and S_v).  M holds a_tt, a_uu and a_vv on its diagonal and a_ts
-and a_uv as a cell plus its transpose; the far tallies follow:
+``local.ZoneKernel.tallies`` gives the unrestricted tallies c of
+``local.edge_tallies`` (among them t, |S_u| + |S_v|, a_tt = c7 and a_uv =
+c10), the adjacent zone pairs M among T, S_u and S_v (each read once, from
+its lower-ranked end) and the zone degree sums D_T and D_S (over S_u and
+S_v).  M holds a_tt, a_uu and a_vv on its diagonal and a_ts and a_uv as a
+cell plus its transpose; the far tallies follow:
 
     a_tf = D_T - 2t - 2 a_tt - a_ts
     a_sf = D_S - |S_u| - |S_v| - 2 (a_uu + a_vv) - a_ts - 2 a_uv
 
-The slots are the unrestricted tallies of ``local.edge_tallies`` with each
-adjacent pair moved to the pattern it completes, in int64 arrays over many
-edges: every term is below C(n, 2) < 2**61, so the counts are exact for
-every n a ``Graph`` holds.
+The slots start from c and move each adjacent pair to the pattern it
+completes, in int64 arrays over many edges: every term is below C(n, 2) <
+2**61, so the counts are exact for every n a ``Graph`` holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import local
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, edge_tallies, zone_kernel
+from .local import _SU, _SV, _T, zone_kernel
 
 
 @dataclass
@@ -66,20 +67,14 @@ class MicroKernel:
 
     def _slots(self, ends: np.ndarray) -> list:
         """The 17 slots of the edges ``ends``: int64 arrays; of one edge, Python
-        ints, which cost less than arrays."""
-        g = self.g
-        t, M, D = self._zones.tallies(ends)
-        du, dv = (g.indptr[ends + 1] - g.indptr[ends]).T
-        if len(ends) == 1:
-            t, M, D, du, dv = (a[..., 0].tolist() for a in (t, M, D, du, dv))
-        su, sv = du - 1 - t, dv - 1 - t
-        a_tt, a_uu, a_vv = M[_T][_T], M[_SU][_SU], M[_SV][_SV]
+        ints (``ZoneKernel.tallies``)."""
+        c, M, D = self._zones.tallies(ends)
+        x = list(c)
+        t, s, a_tt, a_uv = x[2], x[3], x[6], x[9]  # s = |S_u| + |S_v|
+        a_ss = M[_SU][_SU] + M[_SV][_SV]
         a_ts = M[_T][_SU] + M[_SU][_T] + M[_T][_SV] + M[_SV][_T]
-        a_uv = M[_SU][_SV] + M[_SV][_SU]
-        a_ss = a_uu + a_vv
         a_tf = D[_T] - 2 * t - 2 * a_tt - a_ts
-        a_sf = D[_SU] + D[_SV] - su - sv - 2 * a_ss - a_ts - 2 * a_uv
-        x = list(edge_tallies(t, a_tt, a_uv, du, dv, g.n, g.m))
+        a_sf = D[_SU] + D[_SV] - s - 2 * a_ss - a_ts - 2 * a_uv
         a_ff = x[15] - (a_tt + a_ts + a_ss + a_uv) - (a_tf + a_sf)
         x[7] = x[7] - a_tt + a_ts
         x[8] = x[8] - a_ts + a_tf + a_ss

@@ -18,7 +18,7 @@ lower- to its higher-ranked end (Chiba and Nishizeki 1985):
 Every other total is the sum over edges of ``local.edge_tallies`` of t(e),
 the endpoint degrees, n and m.  The listing and the wedges split into ids,
 each gathering at most ``local.BUDGET`` entries at a time, which
-``estimate._parallel_map`` shares out over the workers (Ahmed et al. 2015
+``local._parallel_map`` shares out over the workers (Ahmed et al. 2015
 split the same per-edge pass over edges):
 
 * a triangle id is one range of edges x -> a, taken in order of a so that
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import local
 from .graph import Graph, _positions
-from .local import _chunks, edge_tallies, isum
+from .local import _chunks, _parallel_map, edge_tallies, isum
 
 
 def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +60,6 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
     Equal to ``accumulate(g, range(m), inclusion=1).counts`` for any
     ``workers``.  Vertex arrays are sized by the CSR, never by ``g.n``.
     """
-    from .estimate import _parallel_map  # deferred: estimate imports this module
     N, m, n = len(g.indptr) - 1, g.m, int(g.n)
     deg = np.diff(g.indptr).astype(np.int64)
     by_rank = np.argsort(deg * N + np.arange(N))  # (degree, id): the keys are distinct

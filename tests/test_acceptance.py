@@ -161,7 +161,8 @@ def test_criterion_05_gfd_closeness():
 
 
 def test_criterion_06_adaptive_convergence():
-    # the doubling loop stops by its own delta <= beta rule and the result is
+    # the doubling loop ends, "converged" or "exhausted" (res.converged holds
+    # for both; here it exhausts, so the counts are exact), and the result is
     # within 5% of truth on every 4-vertex pattern; budget 60s
     t0 = time.perf_counter()
     g = gen_er(1000, 0.01, 11)
@@ -264,7 +265,7 @@ def test_criterion_08_extremal_recovery():
 def test_criterion_09_complement_identities(cal_graph):
     # on every sampled estimate the three level sums reproduce C(n,2),
     # C(n,3), C(n,4) whenever no clamp fires; checked across the suites of
-    # criteria 3-6 style runs
+    # criteria 3-5 style runs and on each round of a sampled adaptive stop
     t0 = time.perf_counter()
     checked = 0
 
@@ -285,8 +286,9 @@ def test_criterion_09_complement_identities(cal_graph):
     for s in range(3):
         check(sample_and_estimate(big, SampleDesign(p=0.10, seed=s)), big.n)
 
-    g6 = gen_er(1000, 0.01, 11)
-    res = adaptive_estimate(g6, AdaptiveConfig(beta=0.01, t_max=200, seed=3))
+    g6 = gen_power_law(6000, 6.0, 2)  # criterion 11's graph: a sampled adaptive stop
+    res = adaptive_estimate(g6, AdaptiveConfig(beta=0.2, t_max=200, seed=3))
+    assert res.reason == "converged" and res.sampled_edges < g6.m, res.reason
     check(res.estimate, g6.n)
     for row in res.trace:
         X = row["X"]
@@ -296,7 +298,8 @@ def test_criterion_09_complement_identities(cal_graph):
     dt = time.perf_counter() - t0
     assert dt < 120
     report(f"criterion 9: level-sum identities held on {checked} estimates "
-           f"and {len(res.trace)} adaptive rounds ({dt:.1f}s)")
+           f"and {len(res.trace)} adaptive rounds, stopped {res.reason} at "
+           f"{res.sampled_edges}/{g6.m} edges ({dt:.1f}s)")
 
 
 def test_criterion_10_every_design_calibrated(cal_graph):

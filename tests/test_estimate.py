@@ -185,13 +185,13 @@ def test_one_pool_per_sample_and_estimate(monkeypatch):
         accumulate(g, ids[pi[ids] == q], with_sq=True, inclusion=Fraction(q))
         for q in levels])
     calls = []
-    parallel_map = estimate._parallel_map
+    parallel_map = local._parallel_map
 
     def counted(fn, rows, workers):
         calls.append(len(rows))
         return parallel_map(fn, rows, workers)
 
-    monkeypatch.setattr(estimate, "_parallel_map", counted)
+    monkeypatch.setattr(estimate, "_parallel_map", counted)  # the name estimate calls
     for workers in (1, 2):
         calls.clear()
         est = sample_and_estimate(g, design, workers=workers)
@@ -294,7 +294,7 @@ def test_square_sums_widen_int32_tallies(seed):
 
 def test_parallel_map_runs_interleaved_shares(eight_cpus):
     ids = np.arange(20)
-    parts = estimate._parallel_map(lambda share: share.tolist(), ids, 3)
+    parts = local._parallel_map(lambda share: share.tolist(), ids, 3)
     assert parts == [ids[w::3].tolist() for w in range(3)]
     assert_no_child_left()
 
@@ -306,7 +306,7 @@ def test_forked_share_error_reaches_caller(eight_cpus):
         return share.tolist()
 
     with pytest.raises(ValueError, match="^share starting at 1 failed$") as err:
-        estimate._parallel_map(fn, np.arange(10), 2)
+        local._parallel_map(fn, np.arange(10), 2)
     assert err.type is ValueError
     assert_no_child_left()
 
@@ -314,9 +314,9 @@ def test_forked_share_error_reaches_caller(eight_cpus):
 def test_forked_shares_start_off_the_callers_cpu(eight_cpus, monkeypatch):
     # each child is moved to its own CPU other than the caller's before its share
     moved = []
-    monkeypatch.setattr(estimate, "_current_cpu", lambda: 1)
-    monkeypatch.setattr(estimate, "_start_on", lambda cpu, cpus: moved.append(cpu))
-    parts = estimate._parallel_map(lambda share: list(moved), np.arange(30), 4)
+    monkeypatch.setattr(local, "_current_cpu", lambda: 1)
+    monkeypatch.setattr(local, "_start_on", lambda cpu, cpus: moved.append(cpu))
+    parts = local._parallel_map(lambda share: list(moved), np.arange(30), 4)
     assert parts == [[], [0], [2], [3]]
     assert_no_child_left()
 
@@ -324,7 +324,7 @@ def test_forked_shares_start_off_the_callers_cpu(eight_cpus, monkeypatch):
 def test_forked_shares_leave_stdio_buffers_alone():
     # a child that flushed on exit would print the caller's pending line twice
     code = ("import numpy as np\n"
-            "from graphlets.estimate import _parallel_map\n"
+            "from graphlets.local import _parallel_map\n"
             "print('pending')\n"
             "_parallel_map(lambda share: share.tolist(), np.arange(10), 2)\n"
             "print('done')\n")
@@ -342,7 +342,7 @@ def test_caller_error_kills_forked_shares(eight_cpus):
 
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="caller share failed"):
-        estimate._parallel_map(fn, np.arange(10), 2)
+        local._parallel_map(fn, np.arange(10), 2)
     assert time.monotonic() - t0 < 30
     assert_no_child_left()
 

@@ -22,7 +22,7 @@ from graphlets import (
     unrestricted_counts,
 )
 from graphlets import local, wholegraph
-from graphlets.local import _SU, _SV, _T, edge_tallies, isum, zone_kernel
+from graphlets.local import edge_tallies, isum, zone_kernel
 from graphlets.oracle import brute_force_edge_counts
 
 SUITE = suite_graphs()
@@ -51,8 +51,8 @@ def test_classify_edge_zones(seed):
 
 def kernel_scan(g, u, v):
     """(t, K_e, C_e) of edge (u, v) from the zone kernel, one edge per batch."""
-    t, M, _ = zone_kernel(g).tallies(np.array([[u, v]]))
-    return int(t[0]), int(M[_T, _T, 0]), int(M[_SU, _SV, 0] + M[_SV, _SU, 0])
+    c = zone_kernel(g).tallies(np.array([[u, v]]))[0]
+    return c[2], c[6], c[9]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -173,11 +173,20 @@ def test_kernel_matches_edge_oracle(name):
 
 def test_kernel_tallies_sum_to_edge_totals():
     g = SUITE["power_law"]
-    ends = g.edges.astype(np.int64)
-    t, M, _ = zone_kernel(g).tallies(ends)
-    du, dv = g.degrees[ends].T
-    cols = edge_tallies(t, M[_T, _T], M[_SU, _SV] + M[_SV, _SU], du, dv, g.n, g.m)
-    assert [isum(c) for c in cols] == wholegraph.edge_totals(g)
+    c = zone_kernel(g).tallies(g.edges.astype(np.int64))[0]
+    assert [isum(col) for col in c] == wholegraph.edge_totals(g)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_one_edge_tallies_match_the_batch(name):
+    # a one-edge call takes the Python-int branch; a batch, the int64 arrays
+    g = SUITE[name]
+    kernel, ends = zone_kernel(g), g.edges.astype(np.int64)
+    batch = kernel.tallies(ends)[0]
+    for i in range(g.m):
+        one = kernel.tallies(ends[i:i + 1])[0]
+        assert all(type(x) is int for x in one), i
+        assert list(one) == [int(col[i]) for col in batch], i
 
 
 def split_outputs(g):
