@@ -48,12 +48,16 @@ class AdaptiveConfig:
 @dataclass
 class AdaptiveResult:
     estimate: GraphletEstimate
-    converged: bool
     reason: str  # "converged" | "exhausted" | "t_max"
     iterations: int
     sampled_edges: int
     delta: float  # the final round's stopping statistic
     trace: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """The intervals reached ``beta`` on a sample, short of every edge."""
+        return self.reason == "converged"
 
 
 def _ci_delta(est: GraphletEstimate) -> float:
@@ -85,8 +89,8 @@ def adaptive_estimate(
             est = exact_counts(g, workers=workers)
         else:
             part = accumulate(g, np.setdiff1d(drawn, ids), workers=workers, with_sq=True)
-            acc = replace(part if acc is None else acc.merge(part), inclusion=Fraction(p))
-            est = estimate_counts(g, acc)
+            acc = part if acc is None else acc.merge(part)
+            est = estimate_counts(g, replace(acc, inclusion=Fraction(p)))
         delta = _ci_delta(est)
         trace.append({
             "round": t,
@@ -103,7 +107,6 @@ def adaptive_estimate(
 
     return AdaptiveResult(
         estimate=est,
-        converged=reason != "t_max",
         reason=reason,
         iterations=len(trace),
         sampled_edges=len(ids),

@@ -129,6 +129,8 @@ class UnrestrictedAccumulator:
     def merge(self, other: "UnrestrictedAccumulator") -> "UnrestrictedAccumulator":
         if (self.sq is None) != (other.sq is None):
             raise ValueError("cannot merge accumulators of different shapes")
+        if self.inclusion != other.inclusion:
+            raise ValueError("cannot merge accumulators of different inclusions")
         return UnrestrictedAccumulator(
             counts=[a + b for a, b in zip(self.counts, other.counts)],
             sq=None if self.sq is None else [a + b for a, b in zip(self.sq, other.sq)],

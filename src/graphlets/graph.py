@@ -102,10 +102,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (a CSR slice, do not mutate)."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def edge_id(self, u: int, v: int) -> int:
         """Row index of edge {u, v} in the canonical table; KeyError if absent."""
         a, b = (u, v) if u < v else (v, u)

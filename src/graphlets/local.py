@@ -79,44 +79,18 @@ def _chunks(work: np.ndarray, most: int | None = None):
         lo = hi
 
 
-def _cpus() -> set:
-    """The CPUs this process may run on."""
+def _cpus() -> int:
+    """How many CPUs this process may run on: the cap on a map's shares."""
     if hasattr(os, "sched_getaffinity"):
-        return os.sched_getaffinity(0)
-    return set(range(os.cpu_count() or 1))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _current_cpu() -> int | None:
-    """The CPU this thread last ran on, where Linux's /proc tells it."""
+def _run_share(fn, share: np.ndarray, fd: int):
+    """In a forked child: pickle (True, fn(share), None), or (False, error,
+    traceback) on any failure, to ``fd``; then end the process, so it never
+    returns into the caller's code or flushes its stdio buffers."""
     try:
-        with open("/proc/thread-self/stat") as f:
-            return int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _start_on(cpu: int | None, cpus: set):
-    """Move this process to ``cpu``, then let it run on any of ``cpus`` again.
-
-    A forked child starts on its parent's CPU, and the scheduler can leave
-    both there, taking turns, for a second or more; one move at the start
-    runs the shares side by side.
-    """
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # the move is only a hint
-        pass
-
-
-def _run_share(fn, share: np.ndarray, fd: int, cpu: int | None, cpus: set):
-    """In a forked child: start on ``cpu``, pickle (True, fn(share), None), or
-    (False, error, traceback) on any failure, to ``fd``; then end the process,
-    so it never returns into the caller's code or flushes its stdio buffers."""
-    try:
-        _start_on(cpu, cpus)
         try:
             data = pickle.dumps((True, fn(share), None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # every failure goes back to the caller
@@ -149,22 +123,18 @@ def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
 
     k is ``workers``, capped at the CPUs this process may use.  This process
     runs share 0; each other share runs in a forked child, which inherits
-    ``fn`` and ``ids`` copy-on-write, starts on a CPU other than this
-    process's, and pickles its result back through a pipe (its own process
-    never returns from the fork).  A child's exception is raised here; if
-    this process fails, its children are killed.  Every child is reaped
-    before the call returns.
+    ``fn`` and ``ids`` copy-on-write and pickles its result back through a
+    pipe (its own process never returns from the fork).  A child's exception
+    is raised here; if this process fails, its children are killed.  Every
+    child is reaped before the call returns.
     k = 1, fewer than two ids per share, or a platform without ``os.fork``
     runs ``fn`` on all of ``ids`` in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cpus = _cpus()
-    k = min(workers, len(cpus))
+    k = min(workers, _cpus())
     if k == 1 or len(ids) < 2 * k or not hasattr(os, "fork"):
         return [fn(ids)]
-    here = _current_cpu()
-    spare = sorted(cpus - {here}) if here is not None else [None]  # where children start
     pids, reads = [], []
     finished = False
     try:
@@ -174,7 +144,7 @@ def _parallel_map(fn, ids: np.ndarray, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(fn, ids[w::k], wr, spare[(w - 1) % len(spare)], cpus)
+                    _run_share(fn, ids[w::k], wr)
                 pids.append(pid)
             finally:
                 os.close(wr)

@@ -53,6 +53,11 @@ def planted_clique(n: int, p: float, k: int, seed: int) -> Graph:
     return from_edges(noise + list(combinations(range(k), 2)), n=n)
 
 
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """Sorted neighbor ids of v (a CSR slice, do not mutate)."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
+
+
 def serialize(g: Graph) -> str:
     """Canonical text form: header ``n m`` then sorted ``u v`` rows (u < v)."""
     return "".join(f"{u} {v}\n" for u, v in [(g.n, g.m)] + g.edges.tolist())

@@ -161,14 +161,14 @@ def test_criterion_05_gfd_closeness():
 
 
 def test_criterion_06_adaptive_convergence():
-    # the doubling loop ends, "converged" or "exhausted" (res.converged holds
-    # for both; here it exhausts, so the counts are exact), and the result is
+    # the doubling loop ends, "converged" or "exhausted", not at its round
+    # budget (here it exhausts, so the counts are exact), and the result is
     # within 5% of truth on every 4-vertex pattern; budget 60s
     t0 = time.perf_counter()
     g = gen_er(1000, 0.01, 11)
     truth = exact_counts(g).X
     res = adaptive_estimate(g, AdaptiveConfig(beta=0.01, t_max=200, seed=3))
-    assert res.converged, res.reason
+    assert res.reason != "t_max", res.reason
     worst = 0.0
     for i in range(6, 17):
         x, y = res.estimate.X[i], truth[i]

@@ -35,7 +35,7 @@ def test_exhaustion_is_exact():
     # m = 4: the first round's p = 2 / sqrt(m) is already 1
     g = from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
     res = adaptive_estimate(g, AdaptiveConfig(beta=0.0))
-    assert res.reason == "exhausted" and res.converged
+    assert res.reason == "exhausted" and not res.converged
     assert res.sampled_edges == g.m
     assert res.estimate.X == brute_force_counts(g)
     assert res.iterations == 1

@@ -128,6 +128,20 @@ def test_adaptive_cmd(capsys, er_file):
     assert doc["sampled_edges"] <= doc["m"]
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--beta", "0.5"], "converged"),
+    (["--beta", "0.1"], "exhausted"),
+    (["--beta", "0", "--t-max", "1"], "t_max"),
+])
+def test_adaptive_converged_means_its_reason(capsys, er_file, argv, reason):
+    # "converged" is true only for a sampled stop: an exhausted run is exact
+    # but did not converge, and a run out of rounds did neither
+    code, doc = run_json(capsys, ["adaptive", er_file, *argv])
+    assert code == 0
+    assert (doc["reason"], doc["converged"]) == (reason, reason == "converged")
+    assert (doc["sampled_edges"] < doc["m"]) == (reason != "exhausted")
+
+
 def test_gfd_cmd(capsys, er_file):
     code, doc = run_json(capsys, ["gfd", er_file])
     assert code == 0 and doc["source"] == "exact"
