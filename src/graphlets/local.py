@@ -16,7 +16,8 @@ lower-ranked end: the 4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] +
 M[S_v][S_u].
 ``ZoneKernel.tallies`` turns those and the endpoint degrees into the 17
 unrestricted tallies c of ``edge_tallies``: every per-edge caller starts from
-c.  The fork map ``_parallel_map``, which every module's workers run on, is here.
+c.  ``tally_sums`` states their sum over all edges from six edge sums.  The
+fork map ``_parallel_map``, which every module's workers run on, is here.
 """
 
 from __future__ import annotations
@@ -261,6 +262,27 @@ def edge_tallies(t, k4, cyc, du, dv, n, m) -> tuple:
     return (zero + 1, zero, t, s, r, zero, k4, t * (t - 1) // 2, t * s, cyc,
             su * (su - 1) // 2 + sv * (sv - 1) // 2, su * sv, s * r, t * r,
             r * (r - 1) // 2, m - du - dv + 1, zero)
+
+
+def tally_sums(n, m, t, tt, td, d, dd, d2) -> list[int]:
+    """The sum over all m edges of ``edge_tallies(t, 0, 0, d_u, d_v, n, m)`` in
+    closed form, as Python ints, from the edge sums ``t`` = sum t, ``tt`` =
+    sum t^2, ``td`` = sum t (d_u + d_v), ``d`` = sum (d_u + d_v), ``dd`` =
+    sum d_u d_v and ``d2`` = sum (d_u^2 + d_v^2): every slot is of degree at
+    most 2 in t, d_u and d_v, so no pass over the edges is needed (PGD, Ahmed
+    et al. 2015)."""
+    # the sum over edges of x y, for x and y linear in (1, t, d_u + d_v)
+    moments = ((m, t, d), (t, tt, td), (d, td, d2 + 2 * dd))
+
+    def dot(x, y):
+        return sum(xi * mij * yj for xi, row in zip(x, moments) for mij, yj in zip(row, y))
+
+    one, tri, p = (1, 0, 0), (0, 1, 0), (1, 1, 0)  # p = 1 + t
+    s, r = (-2, -2, 1), (n, 1, -1)  # |S_u| + |S_v| and r, as in edge_tallies
+    susv = dd - dot(p, (0, 0, 1)) + dot(p, p)  # (d_u - p)(d_v - p)
+    return [m, 0, t, dot(one, s), dot(one, r), 0, 0, (tt - t) // 2, dot(tri, s), 0,
+            (dot(s, s) - 2 * susv - dot(one, s)) // 2, susv, dot(s, r), dot(tri, r),
+            (dot(r, r) - dot(one, r)) // 2, (m + 1) * m - d, 0]
 
 
 def isum(x):

@@ -15,8 +15,9 @@ lower- to its higher-ranked end (Chiba and Nishizeki 1985):
   one to codeg(x, y), and the cycles number sum C(codeg, 2) (ESCAPE, Pinar,
   Seshadhri and Vishal 2017).
 
-Every other total is the sum over edges of ``local.edge_tallies`` of t(e),
-the endpoint degrees, n and m.  The listing and the wedges split into ids,
+Every other total is a polynomial of degree at most 2 in t(e) and the
+endpoint degrees, summed over the edges: ``local.tally_sums`` states it from
+six exact edge sums.  The listing and the wedges split into ids,
 each gathering at most ``local.BUDGET`` entries at a time, which
 ``local._parallel_map`` shares out over the workers (Ahmed et al. 2015
 split the same per-edge pass over edges):
@@ -30,22 +31,23 @@ split the same per-edge pass over edges):
   ``BUDGET`` is an id of its own: it sorts its wedges a chunk at a time and
   adds each chunk's run lengths into its share's codeg(x, y) by y.
 
-Each share holds one t(e) of length m and one heavy top's codeg(x, y) by y,
-one per vertex of the CSR, and nothing else of either length.  It returns
-t(e) and its 4-clique and 4-cycle counts, whose sums are the same for any
-worker count.  The closing reduction runs ``local.edge_tallies`` over
-``local.CHUNK`` edges at a time, so its seventeen columns never exist at
-length m.  Every sum is reduced exactly into a Python int, so the totals are
-exact at any n a ``Graph`` holds.
+Share w adds its t(e) into row w of one zero-filled shared buffer mapped
+before the map, and sends back only its 4-clique and 4-cycle counts; the
+caller adds up the rows of the shares that ran.  Each share also holds one
+heavy top's codeg(x, y) by y, one per vertex of the CSR.  The closing sums
+are over int64 products below 2**63 for n < 2**31, each reduced exactly into
+a Python int, so the totals are exact at any n a ``Graph`` holds and the
+same for any worker count.
 """
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
-from . import local
 from .graph import Graph, _positions
-from .local import _chunks, _parallel_map, edge_tallies, isum
+from .local import _chunks, _cpus, _parallel_map, isum, tally_sums
 
 
 def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,31 +143,33 @@ def edge_totals(g: Graph, workers: int = 1) -> list[int]:
     jobs = [(triangles, c0, c1) for c0, c1 in _chunks(later[by_top])]
     jobs += [(cycles, x0, x1) for x0, x1 in _chunks(wedges) if wedges[x0:x1].any()]
 
+    # share w's first id is w, so row w is its t(e); one row per share the map can run
+    rows = max(1, min(workers, _cpus(), len(jobs)))
+    t_rows = np.frombuffer(mmap.mmap(-1, 8 * rows * m) if m else b"",
+                           dtype=np.int64).reshape(rows, m)
+
     def share(ids):
-        t, by_y = np.zeros(m, dtype=np.int64), np.zeros(N, dtype=np.int64)
+        by_y = np.zeros(N, dtype=np.int64)
         k4 = c4 = 0
         for i in ids.tolist():
             fn, i0, i1 = jobs[i]
             if fn is triangles:
-                k4 += triangles(i0, i1, t)
+                k4 += triangles(i0, i1, t_rows[ids[0]])
             else:
                 c4 += cycles(i0, i1, by_y)
-        return t, k4, c4
+        return k4, c4
 
     parts = _parallel_map(share, np.arange(len(jobs)), workers)
-    t = parts[0][0]
-    for part in parts[1:]:
-        t += part[0]
-    k4, c4 = sum(p[1] for p in parts), sum(p[2] for p in parts)
+    t = t_rows[0]
+    for row in t_rows[1:len(parts)]:  # the rows of the shares that ran
+        t += row
+    k4, c4 = map(sum, zip(*parts))
+    del keys, later, by_top, a, top, nbrs, below, jobs  # the sums reuse their memory
 
-    # every other total sums edge_tallies over the edges; K and Q fill in the
-    # two tallies that t(e) and the degrees do not determine
-    c = np.zeros(17, dtype=object)
-    for i in range(0, m, local.CHUNK):
-        e = slice(i, i + local.CHUNK)
-        c += isum(np.stack(np.broadcast_arrays(
-            *edge_tallies(t[e], 0, 0, deg[lo[e]], deg[hi[e]], n, m))))
-    c = c.tolist()
+    # every tally but K and Q is a polynomial in t(e) and the endpoint degrees
+    du, dv = deg[lo], deg[hi]
+    d = du + dv
+    c = tally_sums(n, m, *(isum(x) for x in (t, t * t, t * d, d, du * dv, du * du + dv * dv)))
     c[6] = 6 * k4
     c[9] = 4 * (c4 - (c[7] - 6 * k4) - 3 * k4)  # induced: minus diamonds and K4s
     return c

@@ -214,7 +214,7 @@ def test_criterion_07_parallel_identity_at_scale():
     report(f"criterion 7a: workers 1/2/4 bitwise identical on m={g.m} "
            f"(times {_SCALE_TIMES[1]:.0f}/{_SCALE_TIMES[2]:.0f}/"
            f"{_SCALE_TIMES[4]:.0f}s), whole-graph pass equal at 1/2/4 workers "
-           f"(1/2 in {whole[1]:.2f}/{whole[2]:.2f}s)")
+           f"(1/2/4 in {whole[1]:.2f}/{whole[2]:.2f}/{whole[4]:.2f}s)")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import tracemalloc
 from fractions import Fraction
@@ -58,6 +59,23 @@ def test_totals_equal_at_any_worker_count(budget, monkeypatch, eight_cpus):
         for workers in (2, 3, 5):
             assert wholegraph.edge_totals(g, workers) == ref, (name, workers)
             assert exact_counts(g, workers).X == exact_counts(g).X, (name, workers)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+def test_shared_buffer_is_unmapped(monkeypatch, eight_cpus):
+    # every pass maps its t(e) buffer afresh; none may outlive its call
+    def shared_anonymous():
+        with open("/proc/self/maps") as maps:  # "/dev/zero (deleted)" names them
+            return sum(f[1].endswith("s") and f[5:6] == ["/dev/zero"]
+                       for f in map(str.split, maps))
+
+    monkeypatch.setattr(local, "BUDGET", 5)
+    g = SUITE["power_law"]
+    ref, before = wholegraph.edge_totals(g), shared_anonymous()
+    for _ in range(50):
+        assert wholegraph.edge_totals(g, 2) == ref
+    assert shared_anonymous() <= before
     assert_no_child_left()
 
 
@@ -128,6 +146,32 @@ def test_exact_at_the_largest_n():
     assert X == want
 
 
+EDGE_CASES = {"edgeless": from_edges([], n=3), "one_edge": from_edges([(0, 1)]),
+              "one_edge_largest_n": single_edge(2**31 - 1)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", [*sorted(SUITE), *EDGE_CASES])
+def test_shares_send_back_two_ints(name, workers, monkeypatch, eight_cpus):
+    # each share adds t(e) into its own row of the shared buffer, so what
+    # crosses a pipe is its 4-clique and 4-cycle counts, never an m-length array
+    g = {**SUITE, **EDGE_CASES}[name]
+    monkeypatch.setattr(local, "BUDGET", 5)
+    maps = []
+
+    def kept(fn, ids, k):
+        maps.append((len(ids), local._parallel_map(fn, ids, k)))
+        return maps[-1][1]
+
+    monkeypatch.setattr(wholegraph, "_parallel_map", kept)
+    assert wholegraph.edge_totals(g, workers) == wholegraph.edge_totals(g)
+    assert_no_child_left()
+    n_ids, first = maps[0]  # the parallel pass; the second map is the workers = 1 one
+    assert len(first) == (workers if n_ids >= 2 * workers else 1)  # forked where it could
+    assert all(type(part) is tuple and len(part) == 2 and all(type(x) is int for x in part)
+               for _, parts in maps for part in parts)
+
+
 def tailed_triangle(n):
     """A triangle with a tail of two edges among n vertices, and each edge's
     tallies from ``edge_tallies`` on Python ints; nothing of length n is
@@ -140,41 +184,71 @@ def tailed_triangle(n):
                for (u, v), te in zip(edges, t)]
 
 
-def test_sliced_reduction_exact_at_the_largest_n(monkeypatch):
-    # C(r, 2) is near 2**61 on each edge, so the five one-edge slices sum past int64
+def test_totals_exact_at_the_largest_n():
+    # C(r, 2) is near 2**61 on each edge, so the five edges sum past int64
     g, cols = tailed_triangle(2**31 - 1)
     want = [sum(col) for col in zip(*cols)]
-    assert wholegraph.edge_totals(g) == want
-    monkeypatch.setattr(local, "CHUNK", 1)
     assert wholegraph.edge_totals(g) == want
     assert want[14] > 2**63
 
 
-@pytest.mark.parametrize("name", sorted(SUITE))
-def test_sliced_reduction_sums_alike(name, monkeypatch):
-    # the closing reduction walks t(e) in CHUNK slices, never all m at once
-    g = SUITE[name]
-    sizes, tallies = [], wholegraph.edge_tallies
-    monkeypatch.setattr(wholegraph, "edge_tallies",
-                        lambda t, *rest: sizes.append(len(t)) or tallies(t, *rest))
-    monkeypatch.setattr(local, "CHUNK", 5)
-    assert wholegraph.edge_totals(g) == kernel_totals(g)
-    assert max(sizes) <= 5 and sum(sizes) == g.m
+TOP = 2**31 - 1  # the largest n a Graph holds
+
+
+@st.composite
+def edge_rows(draw):
+    """n and rows (t, d_u, d_v) that edges of a graph on n vertices can have."""
+    n = draw(st.integers(2, TOP))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        du, dv = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        rows.append((draw(st.integers(max(0, du + dv - n), min(du, dv) - 1)), du, dv))
+    return n, rows
+
+
+def edge_sums(t, du, dv):
+    """The six edge sums ``local.tally_sums`` takes, of one edge."""
+    return t, t * t, t * (du + dv), du + dv, du * dv, du * du + dv * dv
+
+
+@given(edge_rows())
+@example((TOP, []))
+@example((2, [(0, 1, 1)]))
+@example((TOP, [(TOP - 2, TOP - 1, TOP - 1)] * 3))  # t = min(d_u, d_v) - 1 and r = 0
+@example((TOP, [(0, 1, 1), (2**30, 2**31 - 3, 2**30 + 1), (TOP - 2, TOP - 1, TOP - 1)]))
+def test_tally_sums_equal_summed_tallies(case):
+    # the closed form against the per-edge tallies summed over m edges, on
+    # Python ints and on int64 arrays; its sums taken by isum as the pass takes them
+    n, rows = case
+    m = len(rows)
+    want = [sum(col) for col in zip(*(local.edge_tallies(t, 0, 0, du, dv, n, m)
+                                      for t, du, dv in rows))] or [0] * 17
+    got = local.tally_sums(n, m, *([sum(col) for col in zip(*(edge_sums(*row) for row in rows))]
+                                   or [0] * 6))
+    t, du, dv = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    cols = local.edge_tallies(t, t * 0, t * 0, du, dv, n, m)
+    sums = [local.isum(x) for x in edge_sums(t, du, dv)]
+    assert got == want == [local.isum(col) for col in cols] == local.tally_sums(n, m, *sums)
+    assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("n, avg_deg, seed", [(30000, 5.0, 0), (20000, 4.0, 3)])
-def test_working_set_per_edge(n, avg_deg, seed):
+def test_working_set_per_edge(n, avg_deg, seed, monkeypatch):
     # numpy reports its buffers to tracemalloc, so the traced peak is the same
-    # on every run; an m-length array per id, or the tally columns at length
-    # m, would take it past 200 bytes an edge
+    # on every run; an m-length array per id would take it past 200 bytes an
+    # edge.  tracemalloc cannot see the shared t(e) buffer, so its bytes are
+    # added to the peak
     g = gen_power_law(n, avg_deg, seed)
+    shared, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: shared.append(args[1]) or real(*args))
     tracemalloc.start()
     try:
         wholegraph.edge_totals(g, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * g.m, peak / g.m
+    assert shared == [8 * g.m]  # one row at one worker
+    assert peak + sum(shared) <= 200 * g.m, (peak + sum(shared)) / g.m
 
 
 def snap_text(n: int, m: int, seed: int) -> str:
