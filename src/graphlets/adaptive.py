@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import patterns
 from .estimate import (
     GraphletEstimate,
     SampleDesign,
@@ -66,7 +67,7 @@ def _ci_delta(est: GraphletEstimate) -> float:
     Slots estimated at zero are skipped unless clamped; a clamped slot, or
     no nonzero slot at all, gives 1: no basis to stop.
     """
-    slots = range(6, 17)
+    slots = [pid - 1 for pid in patterns.ALL_K4]
     if any(est.clamped[i] for i in slots):
         return 1.0
     _, ub = confidence_bounds(est)

@@ -205,9 +205,7 @@ def _cmd_micro(g, args) -> dict:
             "zones": dict(zip(("common", "only_u", "only_v", "far"), res.zones)),
         }
     pid = patterns.resolve_pattern(args.pattern)
-    stats = univariate_stats(g, pid)
-    stats.pop("values")
-    return {"pattern": patterns.NAMES[pid], "stats": stats}
+    return {"pattern": patterns.NAMES[pid], "stats": univariate_stats(g, pid)}
 
 
 def _cmd_adaptive(g, args) -> dict:
@@ -318,7 +316,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("gfd", help="4-vertex pattern frequency distribution")
     _add_io(p); _add_workers(p); _add_design(p)
     p.add_argument("--variant", default="combined",
-                   choices=["connected", "disconnected", "combined"])
+                   choices=list(GFD_VARIANTS))
     p.set_defaults(func=_cmd_gfd)
 
     p = subs.add_parser("max", help="largest per-edge count of one pattern")

@@ -116,14 +116,14 @@ def sample_edges(g: Graph, design: SampleDesign) -> np.ndarray:
 class UnrestrictedAccumulator:
     """Exact sums of per-edge tallies over edges drawn with one inclusion.
 
-    ``counts`` are the raw integer c(e) sums.  ``sq`` are sums of squared
-    12-scaled contributions, feeding the variance estimator.  ``inclusion``
-    is the probability pi shared by every edge summed here.
+    ``counts`` are the raw integer c(e) sums; slot 1 of each c(e) is 1, so
+    ``counts[0]`` is the number of edges summed, repeats included.  ``sq`` are
+    sums of squared 12-scaled contributions, feeding the variance estimator.
+    ``inclusion`` is the probability pi shared by every edge summed here.
     """
 
     counts: list
     sq: list | None
-    k_used: int
     inclusion: Fraction | None
 
     def merge(self, other: "UnrestrictedAccumulator") -> "UnrestrictedAccumulator":
@@ -134,7 +134,6 @@ class UnrestrictedAccumulator:
         return UnrestrictedAccumulator(
             counts=[a + b for a, b in zip(self.counts, other.counts)],
             sq=None if self.sq is None else [a + b for a, b in zip(self.sq, other.sq)],
-            k_used=self.k_used + other.k_used,
             inclusion=self.inclusion,
         )
 
@@ -203,10 +202,8 @@ def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
             counts[q] += isum(cq)
             if with_sq:
                 sq[q] += _square_sums(cq)
-    sizes = np.bincount(rows[:, 1], minlength=len(inclusions)).tolist()
-    return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, k_used=k,
-                                    inclusion=q)
-            for c, s, k, q in zip(counts.tolist(), sq.tolist(), sizes, inclusions)]
+    return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, inclusion=q)
+            for c, s, q in zip(counts.tolist(), sq.tolist(), inclusions)]
 
 
 def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
@@ -257,6 +254,7 @@ class GraphletEstimate:
     plug-in sampling variances (zero at full sampling, None when the tallies
     were accumulated without squares).  ``p`` is the inclusion probability
     shared by every sampled edge, None when the sample mixes several.
+    ``k_used`` counts the edges summed, repeats included (m when exact).
     ``clamped`` flags slots whose raw estimate was negative and got clamped
     to zero.
     """
@@ -265,8 +263,6 @@ class GraphletEstimate:
     variance: list | None
     p: float | None
     k_used: int
-    n: int
-    m: int
     clamped: list = field(default_factory=lambda: [False] * 17)
 
 
@@ -310,7 +306,7 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
         for i in range(17)
     ]
     raw = _chain(totals, g.n, g.m)
-    k_used = sum(a.k_used for a in levels)
+    k_used = sum(a.counts[0] for a in levels)
     exact = k_used == g.m and all(a.inclusion == 1 for a in levels)
     clamped = [x < 0 for x in raw]
     out = []
@@ -332,7 +328,7 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
     return GraphletEstimate(
         X=out, variance=variance,
         p=float(levels[0].inclusion) if len(levels) == 1 else None,
-        k_used=k_used, n=g.n, m=g.m, clamped=clamped,
+        k_used=k_used, clamped=clamped,
     )
 
 
@@ -343,8 +339,8 @@ def exact_counts(g: Graph, workers: int = 1) -> GraphletEstimate:
     wedges over ``workers`` through one parallel map; the counts are the same
     for any worker count.
     """
-    acc = UnrestrictedAccumulator(counts=edge_totals(g, workers),
-                                  sq=None, k_used=g.m, inclusion=Fraction(1))
+    acc = UnrestrictedAccumulator(counts=edge_totals(g, workers), sq=None,
+                                  inclusion=Fraction(1))
     return estimate_counts(g, acc)
 
 

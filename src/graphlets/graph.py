@@ -99,9 +99,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edge_id(self, u: int, v: int) -> int:
         """Row index of edge {u, v} in the canonical table; KeyError if absent."""
         a, b = (u, v) if u < v else (v, u)

@@ -56,7 +56,7 @@ class MicroKernel:
     def counts(self, edge) -> MicroEstimate:
         u, v = resolve_edge(self.g, edge)
         x = self._slots(np.array([[u, v]]))
-        su = self.g.degree(u) - 1 - x[2]
+        su = int(self._zones.deg[u]) - 1 - x[2]
         return MicroEstimate(x=x, u=u, v=v, zones=(x[2], su, x[3] - su, x[4]))
 
     def column(self, ids, pattern_id: int) -> np.ndarray:
@@ -91,7 +91,8 @@ def micro_counts(g: Graph, edge) -> MicroEstimate:
 
 
 def univariate_stats(g: Graph, pattern_id: int) -> dict:
-    """Five-number summary plus mean/std of one pattern's per-edge counts."""
+    """Five-number summary plus mean/std of one pattern's per-edge counts,
+    which ``MicroKernel(g).column(np.arange(g.m), pattern_id)`` gives."""
     vals = MicroKernel(g).column(np.arange(g.m), pattern_id).astype(np.float64)
     if not len(vals):
         raise ValueError("no edges to summarize")
@@ -105,5 +106,4 @@ def univariate_stats(g: Graph, pattern_id: int) -> dict:
         "max": float(vals.max()),
         "mean": float(vals.mean()),
         "std": float(vals.std()),
-        "values": vals,
     }

@@ -59,7 +59,7 @@ def brute_force_counts(g: Graph, max_n: int = 64) -> list[int]:
         for v in quad:
             mask |= 1 << v
         degs = tuple(sorted((bits[v] & mask).bit_count() for v in quad))
-        y[patterns.classify_small(4, sum(degs) // 2, degs) - 1] += 1
+        y[patterns.classify_small(sum(degs) // 2, degs) - 1] += 1
     return y
 
 
@@ -86,5 +86,5 @@ def brute_force_edge_counts(g: Graph, e, max_n: int = 64) -> list[int]:
     for w, x in combinations(rest, 2):
         mask = (1 << u) | (1 << v) | (1 << w) | (1 << x)
         degs = tuple(sorted((bits[t] & mask).bit_count() for t in (u, v, w, x)))
-        y[patterns.classify_small(4, sum(degs) // 2, degs) - 1] += 1
+        y[patterns.classify_small(sum(degs) // 2, degs) - 1] += 1
     return y

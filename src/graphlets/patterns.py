@@ -1,9 +1,9 @@
 """Taxonomy of the seventeen induced patterns on 2, 3, and 4 vertices.
 
-Patterns are numbered 1..17.  Sizes 2 and 3 are the edge / non-edge and the
-four 3-vertex graphs; size 4 covers the six connected and five disconnected
-4-vertex graphs.  Everything downstream (estimator, oracle, CLI output) keys
-off this module so the numbering and the names exist in exactly one place.
+Patterns are numbered 1..17: the edge and non-edge (1, 2), the four 3-vertex
+graphs (``ALL_K3``), and the six connected and five disconnected 4-vertex
+graphs (``ALL_K4``).  Everything downstream (estimator, oracle, CLI output)
+keys off this module so the numbering and the names exist in exactly one place.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _TABLE = {
 PATTERN_IDS = tuple(sorted(_TABLE))
 NAMES = {pid: row[0] for pid, row in _TABLE.items()}
 IDS_BY_NAME = {row[0]: pid for pid, row in _TABLE.items()}
-SIZES = {pid: row[1] for pid, row in _TABLE.items()}
 EDGE_COUNTS = {pid: row[2] for pid, row in _TABLE.items()}
 
 CONNECTED_K4 = (7, 8, 9, 10, 11, 12)
@@ -40,42 +39,30 @@ DISCONNECTED_K4 = (13, 14, 15, 16, 17)
 ALL_K4 = CONNECTED_K4 + DISCONNECTED_K4
 ALL_K3 = (3, 4, 5, 6)
 
-# Patterns whose instances contain at least one edge.  Only these admit a
-# per-edge count, and only these participate in the fold-back identity
-# sum_e y_i(e) = EDGE_COUNTS[i] * Y_i.
-EDGE_INCIDENT = tuple(pid for pid in PATTERN_IDS if EDGE_COUNTS[pid] > 0)
 
-
-def classify_small(k: int, edges: int, degree_multiset: tuple[int, ...]) -> int:
-    """Map an induced subgraph on k in {2,3,4} vertices to its pattern id.
+def classify_small(edges: int, degree_multiset: tuple[int, ...]) -> int:
+    """Map an induced subgraph on 4 vertices to its pattern id (7..17).
 
     ``degree_multiset`` is the sorted within-subgraph degree sequence; it is
-    only consulted where the edge count alone is ambiguous (4 vertices with
-    2, 3, or 4 edges).
+    only consulted where the edge count alone is ambiguous (2, 3, or 4 edges).
     """
-    if k == 2:
-        return 1 if edges == 1 else 2
-    if k == 3:
-        return {3: 3, 2: 4, 1: 5, 0: 6}[edges]
-    if k == 4:
-        if edges == 6:
-            return 7
-        if edges == 5:
-            return 8
-        if edges == 4:
-            return 10 if degree_multiset == (2, 2, 2, 2) else 9
-        if edges == 3:
-            if degree_multiset == (1, 1, 1, 3):
-                return 11
-            if degree_multiset == (1, 1, 2, 2):
-                return 12
-            return 13  # (0, 2, 2, 2)
-        if edges == 2:
-            return 15 if degree_multiset == (1, 1, 1, 1) else 14
-        if edges == 1:
-            return 16
-        return 17
-    raise ValueError(f"no pattern taxonomy for subgraphs on {k} vertices")
+    if edges == 6:
+        return 7
+    if edges == 5:
+        return 8
+    if edges == 4:
+        return 10 if degree_multiset == (2, 2, 2, 2) else 9
+    if edges == 3:
+        if degree_multiset == (1, 1, 1, 3):
+            return 11
+        if degree_multiset == (1, 1, 2, 2):
+            return 12
+        return 13  # (0, 2, 2, 2)
+    if edges == 2:
+        return 15 if degree_multiset == (1, 1, 1, 1) else 14
+    if edges == 1:
+        return 16
+    return 17
 
 
 def resolve_pattern(key: int | str) -> int:

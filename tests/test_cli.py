@@ -110,6 +110,12 @@ def test_micro_bad_edge(k4_file, capsys):
     assert main(["micro", k4_file, "--edge", "0,9"]) == 1
 
 
+def test_micro_edge_on_integer_labels_expects_integers(k4_file, capsys):
+    assert main(["micro", k4_file, "--edge", "a,b"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --edge expects integers, got 'a,b'\n"
+
+
 @pytest.mark.parametrize("argv", [["--edge", "0,1", "--p-edge", "0.4"],
                                   ["--pattern", "4-cycle", "--seed", "1"]],
                          ids=["p-edge", "seed"])

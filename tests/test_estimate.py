@@ -156,10 +156,24 @@ def test_accumulate_merge_mismatch():
     with pytest.raises(ValueError):
         a.merge(b)
     merged = a.merge(accumulate(g, [1], with_sq=True, inclusion=Fraction(1, 2)))
-    assert merged.k_used == 2
+    assert merged.counts[0] == 2  # slot 1 counts the edges summed
     # one Horvitz-Thompson weight per accumulator: mixed inclusions do not merge
     with pytest.raises(ValueError, match="inclusions"):
         a.merge(accumulate(g, [1], with_sq=True, inclusion=Fraction(1, 3)))
+
+
+def test_estimate_needs_an_inclusion():
+    g = gen_er(10, 0.4, 3)
+    with pytest.raises(ValueError, match="lacks a valid inclusion probability"):
+        estimate_counts(g, accumulate(g, [0]))
+
+
+def test_bounds_need_squares():
+    g = gen_er(10, 0.4, 3)
+    est = estimate_counts(g, accumulate(g, [0, 1], inclusion=Fraction(1, 2)))
+    assert est.variance is None
+    with pytest.raises(ValueError, match="accumulated without squares"):
+        confidence_bounds(est)
 
 
 def test_parallel_bitwise_identity(eight_cpus):
@@ -311,6 +325,19 @@ def test_forked_share_error_reaches_caller(eight_cpus):
     with pytest.raises(ValueError, match="^share starting at 1 failed$") as err:
         local._parallel_map(fn, np.arange(10), 2)
     assert err.type is ValueError
+    assert_no_child_left()
+
+
+def test_forked_share_without_result_is_an_error(eight_cpus):
+    caller = os.getpid()
+
+    def fn(share):
+        if os.getpid() != caller:
+            os._exit(0)  # the child ends before it writes anything
+        return share.tolist()
+
+    with pytest.raises(RuntimeError, match="^forked share 1 ended without a result$"):
+        local._parallel_map(fn, np.arange(10), 2)
     assert_no_child_left()
 
 

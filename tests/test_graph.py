@@ -40,10 +40,17 @@ def test_from_edges_basic():
 def test_from_edges_n_override():
     g = from_edges([(0, 1)], n=5)
     assert g.n == 5
-    assert g.degree(4) == 0
+    assert g.degrees[4] == 0
     # declaring fewer vertices than the edges need is a caller bug
     with pytest.raises(ValueError):
         from_edges([(0, 9)], n=3)
+
+
+def test_from_edges_refuses_bad_shapes_and_negative_ids():
+    with pytest.raises(ValueError, match=r"^edge array must have shape \(m, 2\)$"):
+        from_edges(np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(ValueError, match="^vertex ids must be non-negative$"):
+        from_edges([(0, 1), (-1, 2)])
 
 
 def test_from_edges_empty_is_error():
@@ -205,10 +212,8 @@ def test_core_numbers_match_definition(g):
 
 def test_edge_hardness():
     g = from_edges([(0, 1), (1, 2), (1, 3)])
-    h = g.edge_hardness()
-    assert h.tolist() == [g.degree(0) + g.degree(1),
-                          g.degree(1) + g.degree(2),
-                          g.degree(1) + g.degree(3)]
+    d = g.degrees
+    assert g.edge_hardness().tolist() == [d[0] + d[1], d[1] + d[2], d[1] + d[3]]
 
 
 def test_parse_edgelist_comments_and_commas():

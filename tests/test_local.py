@@ -116,7 +116,7 @@ def test_unrestricted_matches_zone_formulas(seed):
         assert c[12] == (su + sv) * r
         assert c[13] == t * r
         assert c[14] == r * (r - 1) // 2
-        assert c[15] == g.m - g.degree(u) - g.degree(v) + 1
+        assert c[15] == g.m - g.degrees[u] - g.degrees[v] + 1
 
 
 def test_marker_generation_isolation():
@@ -206,8 +206,7 @@ def split_outputs(g):
     res = adaptive_estimate(g, AdaptiveConfig(beta=0.2, seed=3))
     keep(res.estimate.X, res.trace)
     keep(max_per_edge(g, "4-cycle"), max_per_edge(g, "4-clique", SampleDesign(p=0.3, seed=4)))
-    stats = univariate_stats(g, 12)
-    keep(stats.pop("values").tolist(), stats)
+    keep(MicroKernel(g).column(np.arange(g.m), 12).tolist(), univariate_stats(g, 12))
     return out
 
 

@@ -22,7 +22,6 @@ from graphlets import (
     unrestricted_counts,
 )
 from graphlets.local import zone_kernel
-from graphlets.patterns import EDGE_INCIDENT
 
 
 def _fan(k: int) -> Graph:
@@ -168,8 +167,8 @@ def test_hub_scale_multiplicity_and_max():
     per_edge = np.array([kernel.counts(e).x for e in range(g.m)], dtype=object)
     sums = per_edge.sum(axis=0)
     total = exact_counts(g).X
-    for pid in EDGE_INCIDENT:
-        assert sums[pid - 1] == EDGE_COUNTS[pid] * total[pid - 1], pid
+    for pid, edges in EDGE_COUNTS.items():  # edgeless patterns: 0 on both sides
+        assert sums[pid - 1] == edges * total[pid - 1], pid
     assert max_per_edge(g, "4-cycle", workers=2).value == max(per_edge[:, 9])
 
 
@@ -186,13 +185,17 @@ def test_univariate_stats_is_the_kernel_loop():
     kernel = MicroKernel(g)
     for pid in (4, 10, 15):
         loop = [kernel.counts(e).x[pid - 1] for e in range(g.m)]
-        assert univariate_stats(g, pid)["values"].tolist() == loop, pid
+        assert kernel.column(np.arange(g.m), pid).tolist() == loop, pid
+        stats = univariate_stats(g, pid)
+        assert (stats["edges"], stats["min"], stats["max"], stats["mean"]) == (
+            g.m, min(loop), max(loop), sum(loop) / g.m), pid
 
 
 def test_p4_univariate_example(named):
     # the 4-path pattern appears once per edge of P4: summary is all ones
-    stats = univariate_stats(named["P4"], 12)
-    assert stats["values"].tolist() == [1, 1, 1]
+    g = named["P4"]
+    stats = univariate_stats(g, 12)
+    assert MicroKernel(g).column(np.arange(g.m), 12).tolist() == [1, 1, 1]
     assert stats["median"] == 1 and stats["min"] == 1 and stats["max"] == 1
     assert stats["std"] == 0
 

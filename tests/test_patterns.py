@@ -7,14 +7,15 @@ def test_taxonomy_shape():
     assert patterns.PATTERN_IDS == tuple(range(1, 18))
     names = [patterns.NAMES[i] for i in patterns.PATTERN_IDS]
     assert len(set(names)) == 17
-    assert [patterns.SIZES[i] for i in (1, 3, 7)] == [2, 3, 4]
+    assert (patterns.NAMES[1], patterns.NAMES[3], patterns.NAMES[7]) == (
+        "edge", "triangle", "4-clique")
 
 
 def test_size_groups():
+    # ids 1, 2 hold 2 vertices; ALL_K3 holds 3; ALL_K4 holds 4; together, every id
     assert patterns.ALL_K3 == (3, 4, 5, 6)
     assert patterns.CONNECTED_K4 + patterns.DISCONNECTED_K4 == patterns.ALL_K4
-    for pid in patterns.ALL_K4:
-        assert patterns.SIZES[pid] == 4
+    assert (1, 2) + patterns.ALL_K3 + patterns.ALL_K4 == patterns.PATTERN_IDS
 
 
 def test_edge_counts_match_structure():
@@ -27,18 +28,15 @@ def test_edge_counts_match_structure():
     assert patterns.EDGE_COUNTS[10] == 4  # 4-cycle
     assert patterns.EDGE_COUNTS[12] == 3  # 4-path
     assert patterns.EDGE_COUNTS[17] == 0
-    assert set(patterns.EDGE_INCIDENT) == {
-        pid for pid in patterns.PATTERN_IDS if patterns.EDGE_COUNTS[pid] > 0
-    }
+    # every connected 4-vertex pattern holds at least 3 edges (a spanning tree)
+    assert all(patterns.EDGE_COUNTS[pid] >= 3 for pid in patterns.CONNECTED_K4)
+    # only the three edgeless patterns admit no per-edge count
+    assert [pid for pid in patterns.PATTERN_IDS if patterns.EDGE_COUNTS[pid] == 0] == [2, 6, 17]
 
 
 @pytest.mark.parametrize(
     "degrees,edges,expect",
     [
-        ((2, 2, 2), 3, 3),  # triangle
-        ((1, 1, 2), 2, 4),
-        ((0, 1, 1), 1, 5),
-        ((0, 0, 0), 0, 6),
         ((3, 3, 3, 3), 6, 7),
         ((2, 2, 3, 3), 5, 8),
         ((1, 2, 2, 3), 4, 9),
@@ -53,8 +51,7 @@ def test_edge_counts_match_structure():
     ],
 )
 def test_classify_small(degrees, edges, expect):
-    k = len(degrees)
-    assert patterns.classify_small(k, edges, tuple(sorted(degrees))) == expect
+    assert patterns.classify_small(edges, tuple(sorted(degrees))) == expect
 
 
 def test_resolve_pattern():
