@@ -260,8 +260,8 @@ def _cmd_oracle(g, args) -> dict:
 
 
 def _cmd_verify(g, args) -> dict:
-    # three routes to the same integers: the oracle, the whole-graph pass and
-    # the edge kernel summed over every edge
+    # three routes to the same counts: the oracle's and the whole-graph pass's
+    # integers, and the edge kernel's floats summed over every edge
     truth = brute_force_counts(g, max_n=args.max_n)
     est = exact_counts(g, workers=args.workers)
     kernel = estimate_counts(g, accumulate(g, range(g.m), workers=args.workers,

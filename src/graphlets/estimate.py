@@ -12,11 +12,11 @@ estimate is the sum over drawn edges of (1 - pi) / pi^2 times the squared
 contribution.
 All accumulation is exact integer arithmetic (int64 summed in 32-bit halves
 or ``LIMB``-bit limbs, Python ints only in the totals), so results are bitwise
-identical for any worker count or batch split; floats appear only where a
-sampled level's sums are divided by its pi, and exact counts stay integers.
-The tallies come from ``local.ZoneKernel.tallies`` and the workers from
-``local._parallel_map``; ``exact_counts`` takes its totals from the whole-graph
-pass of ``wholegraph`` on the same map, not from this per-edge accumulation.
+identical for any worker count or batch split.  The tallies come from
+``local.ZoneKernel.tallies`` and the workers from ``local._parallel_map``.
+Estimates are floats, rounded once; exact counts are integers from one
+producer, ``exact_counts``, which a design drawing every edge with pi = 1
+also returns: the whole-graph pass of ``wholegraph``, on the same map.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -249,12 +249,12 @@ def accumulate(
 class GraphletEstimate:
     """Estimated (or exact) counts for all seventeen patterns.
 
-    ``X`` holds ints when the estimate is exact (full sample) and floats
-    otherwise, indexed by pattern id - 1.  ``variance`` entries are the
-    plug-in sampling variances (zero at full sampling, None when the tallies
-    were accumulated without squares).  ``p`` is the inclusion probability
-    shared by every sampled edge, None when the sample mixes several.
-    ``k_used`` counts the edges summed, repeats included (m when exact).
+    ``X``, indexed by pattern id - 1, holds ints from ``exact_counts`` (so from
+    census designs too) and floats from ``estimate_counts``.  ``variance``
+    entries are the plug-in sampling variances (zero when exact, None when the
+    tallies were accumulated without squares).  ``p`` is the inclusion
+    probability shared by every sampled edge, None when the sample mixes
+    several.  ``k_used`` counts the edges summed, repeats included (m when exact).
     ``clamped`` flags slots whose raw estimate was negative and got clamped
     to zero.
     """
@@ -283,7 +283,7 @@ def _chain(totals, n: int, m: int) -> list[Fraction]:
 
 
 def estimate_counts(g: Graph, acc) -> GraphletEstimate:
-    """Turn accumulated tallies into the 17 pattern estimates.
+    """Turn accumulated tallies into the 17 Horvitz-Thompson estimates, as floats.
 
     ``acc`` is one accumulator or a list of them, one per inclusion level.
     Each total is the Horvitz-Thompson sum over levels of counts / pi, and
@@ -292,7 +292,7 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
     chain runs in exact rational arithmetic on those totals; negative slots
     are clamped to zero in the report (flagged) but the complement slots are
     computed from the raw linear values so the level sums stay exact
-    whenever no clamp fires.
+    whenever no clamp fires.  Exact counts come from ``exact_counts`` alone.
     """
     levels = [acc] if isinstance(acc, UnrestrictedAccumulator) else list(acc)
     if any(a.inclusion is None or not (0 < a.inclusion <= 1) for a in levels):
@@ -306,18 +306,6 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
         for i in range(17)
     ]
     raw = _chain(totals, g.n, g.m)
-    k_used = sum(a.counts[0] for a in levels)
-    exact = k_used == g.m and all(a.inclusion == 1 for a in levels)
-    clamped = [x < 0 for x in raw]
-    out = []
-    for x in raw:
-        x = max(x, Fraction(0))
-        if exact:
-            if x.denominator != 1:
-                raise ArithmeticError("exact counts came out non-integral")
-            out.append(int(x))
-        else:
-            out.append(float(x))
 
     variance = None  # pi = 1 levels add none
     if all(a.sq is not None for a in sampled):
@@ -326,9 +314,9 @@ def estimate_counts(g: Graph, acc) -> GraphletEstimate:
                     for i in range(17)]
 
     return GraphletEstimate(
-        X=out, variance=variance,
+        X=[float(max(x, 0)) for x in raw], variance=variance,
         p=float(levels[0].inclusion) if len(levels) == 1 else None,
-        k_used=k_used, clamped=clamped,
+        k_used=sum(a.counts[0] for a in levels), clamped=[x < 0 for x in raw],
     )
 
 
@@ -337,11 +325,13 @@ def exact_counts(g: Graph, workers: int = 1) -> GraphletEstimate:
 
     The pass (``wholegraph.edge_totals``) splits its triangle listing and its
     wedges over ``workers`` through one parallel map; the counts are the same
-    for any worker count.
+    for any worker count.  A non-integral or negative count raises ArithmeticError.
     """
-    acc = UnrestrictedAccumulator(counts=edge_totals(g, workers), sq=None,
-                                  inclusion=Fraction(1))
-    return estimate_counts(g, acc)
+    X = _chain(edge_totals(g, workers), g.n, g.m)
+    for i, x in enumerate(X):
+        if x.denominator != 1 or x < 0:
+            raise ArithmeticError(f"exact count of pattern {i + 1} came out {x}")
+    return GraphletEstimate(X=[int(x) for x in X], variance=[0.0] * 17, p=1.0, k_used=g.m)
 
 
 def sample_and_estimate(
@@ -350,9 +340,12 @@ def sample_and_estimate(
     """Sample, accumulate, estimate: the one-call path used by the CLI.
 
     The drawn edges are grouped by inclusion probability, and one parallel
-    map accumulates every group's sums.
+    map accumulates every group's sums.  A design that draws every edge with
+    pi = 1 is a census: it returns ``exact_counts``.
     """
     ids, pi = _draw(g, design)
+    if (pi == 1).all():
+        return exact_counts(g, workers)
     levels, level = np.unique(pi[ids], return_inverse=True)
     return estimate_counts(g, _accumulate_levels(
         g, ids, level, [Fraction(q) for q in levels], workers, with_sq=True))

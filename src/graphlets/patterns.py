@@ -8,31 +8,31 @@ keys off this module so the numbering and the names exist in exactly one place.
 
 from __future__ import annotations
 
-# id -> (name, vertex count, edge count of the pattern)
+# id -> (name, edge count of the pattern)
 _TABLE = {
-    1: ("edge", 2, 1),
-    2: ("2-node-independent", 2, 0),
-    3: ("triangle", 3, 3),
-    4: ("2-star", 3, 2),
-    5: ("3-node-1-edge", 3, 1),
-    6: ("3-node-independent", 3, 0),
-    7: ("4-clique", 4, 6),
-    8: ("chordal-cycle", 4, 5),
-    9: ("tailed-triangle", 4, 4),
-    10: ("4-cycle", 4, 4),
-    11: ("3-star", 4, 3),
-    12: ("4-path", 4, 3),
-    13: ("4-node-1-triangle", 4, 3),
-    14: ("4-node-2-star", 4, 2),
-    15: ("4-node-2-edge", 4, 2),
-    16: ("4-node-1-edge", 4, 1),
-    17: ("4-node-independent", 4, 0),
+    1: ("edge", 1),
+    2: ("2-node-independent", 0),
+    3: ("triangle", 3),
+    4: ("2-star", 2),
+    5: ("3-node-1-edge", 1),
+    6: ("3-node-independent", 0),
+    7: ("4-clique", 6),
+    8: ("chordal-cycle", 5),
+    9: ("tailed-triangle", 4),
+    10: ("4-cycle", 4),
+    11: ("3-star", 3),
+    12: ("4-path", 3),
+    13: ("4-node-1-triangle", 3),
+    14: ("4-node-2-star", 2),
+    15: ("4-node-2-edge", 2),
+    16: ("4-node-1-edge", 1),
+    17: ("4-node-independent", 0),
 }
 
 PATTERN_IDS = tuple(sorted(_TABLE))
 NAMES = {pid: row[0] for pid, row in _TABLE.items()}
 IDS_BY_NAME = {row[0]: pid for pid, row in _TABLE.items()}
-EDGE_COUNTS = {pid: row[2] for pid, row in _TABLE.items()}
+EDGE_COUNTS = {pid: row[1] for pid, row in _TABLE.items()}
 
 CONNECTED_K4 = (7, 8, 9, 10, 11, 12)
 DISCONNECTED_K4 = (13, 14, 15, 16, 17)

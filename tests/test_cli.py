@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_parity
 import graphlets
 from gen import gen_er, serialize
 from graphlets.cli import main
@@ -380,6 +381,23 @@ def test_edgeless_graph(tmp_path, capsys, argv, code):
     assert (doc["n"], doc["m"]) == (3, 0)
     assert {k: v for k, v in doc["counts"].items() if v} == {
         "2-node-independent": 3, "3-node-independent": 1}
+    if argv[0] == "estimate":  # with no edges every pi_e = 1 holds: a census
+        assert doc["inclusion"] == 1.0
+        assert all(type(v) is int for v in doc["counts"].values())
+
+
+def test_cli_parity_against_this_checkout(tmp_path):
+    # the parity check run between two checkouts, with this one as both: no
+    # run differs, and every subcommand runs to exit code 0
+    root = Path(__file__).resolve().parent.parent
+    firsts = {}
+    for argset in cli_parity.ARGSETS:
+        firsts.setdefault(argset[0], argset)
+    paths = cli_parity.write_graphs(tmp_path)
+    rows = cli_parity.compare(root, root, {"er2": paths["er2"]}, list(firsts.values()))
+    assert [old for *_, old, new in rows] == [new for *_, old, new in rows]
+    assert sorted(argv[0] for _, argv, (code, *_), _ in rows if code == 0) == sorted(
+        ["exact", "estimate", "micro", "adaptive", "gfd", "max", "oracle", "verify"])
 
 
 def test_reader_errors_exit_2(tmp_path, capsys, monkeypatch):

@@ -115,6 +115,49 @@ def test_heavy_edge_capped_at_certainty():
     assert all(isinstance(x, float) for x in est.X)
 
 
+@pytest.mark.parametrize("ids", [[0] * 18, [0, 0, *range(2, 18)]],
+                         ids=["one-edge-18-times", "edge-0-for-edge-1"])
+def test_repeats_at_certainty_are_estimates(ids):
+    # m ids at pi = 1 that repeat an edge are no census: float estimates, no error
+    g = gen_er(10, 0.4, 3)
+    assert g.m == len(ids)
+    est = estimate_counts(g, accumulate(g, ids, inclusion=Fraction(1)))
+    assert est.k_used == g.m and est.p == 1.0
+    assert all(type(x) is float for x in est.X)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["K5", "er3", "planted", "power_law"])
+def test_census_designs_run_the_exact_pass(name, workers, monkeypatch):
+    # every pi_e = 1: the design is a census, answered by the whole-graph pass
+    g = suite_graphs()[name]
+    want = exact_counts(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a census ran the per-edge kernel")
+
+    monkeypatch.setattr(local.ZoneKernel, "tallies", refuse)
+    for design in (SampleDesign(p=1.0), SampleDesign(size=g.m),
+                   SampleDesign(size=g.m, weighting="kcore")):
+        got = sample_and_estimate(g, design, workers)
+        assert got == want, design
+        assert [type(x) for x in got.X] == [int] * 17, design
+
+
+def test_exact_counts_refuse_a_broken_pass(monkeypatch):
+    # the pass's totals give integral, non-negative counts; anything else raises
+    g = gen_er(10, 0.4, 3)
+    totals = estimate.edge_totals(g)
+    k4 = exact_counts(g).X[7 - 1]
+    for slot, shift, match in ((3, 1, r"pattern 3 came out \d+/3$"),
+                               (7, -6 * (k4 + 1), "pattern 7 came out -1$")):
+        bad = list(totals)
+        bad[slot - 1] += shift
+        monkeypatch.setattr(estimate, "edge_totals", lambda g, workers: bad)
+        with pytest.raises(ArithmeticError, match=match):
+            exact_counts(g)
+
+
 def test_empty_draw_estimates():
     g = gen_er(20, 0.3, 2)
     design = SampleDesign(p=1e-15, seed=0)
