@@ -2,18 +2,27 @@
 
 For an edge e = (u, v) the other vertices fall in four zones: T (common
 neighbors), S_u and S_v (neighbors of u only, of v only) and the r far ones.
-``ZoneKernel`` marks, for a batch of up to 31 edges, each vertex's int64 word
-with two bits per edge, "in N(u)" and "in N(v)": their code is the vertex's
-zone, 3 for T, 2 for S_u, 1 for S_v, 0 for far and the endpoints.  The kernel
-orients every edge from its lower- to its higher-ranked end by (degree, id),
-the rank of ``wholegraph`` (Chiba and Nishizeki 1985): vertex w's up-list
-holds its neighbors ranked above w, in id order, so the lists hold each edge
-once.  They are the kernel's own second CSR (int64 offsets, int32 ids), sized
-by the CSR, never by n.  Each zone member's up-list is read once, and one
-bincount of (edge, zone of the source, code of the target) gives every edge's
-4x4 matrix M of adjacent zone pairs, each pair seen once, from its
-lower-ranked end: the 4-cliques are M[T][T] and the 4-cycles M[S_u][S_v] +
-M[S_v][S_u].
+``ZoneKernel`` marks, for a lane batch of up to 31 edges, each vertex's int64
+word with two bits per edge, "in N(u)" and "in N(v)": their code is the
+vertex's zone, 3 for T, 2 for S_u, 1 for S_v, 0 for far and the endpoints.
+The kernel orients every edge from its lower- to its higher-ranked end by
+(degree, id), the rank of ``wholegraph`` (Chiba and Nishizeki 1985): vertex
+w's up-list holds its neighbors ranked above w, in id order, so the lists
+hold each edge once.  They are the kernel's own second CSR (int64 offsets,
+int32 ids), sized by the CSR, never by n.  Each zone member's up-list is read
+once, and one bincount of (edge, zone of the source, code of the target)
+gives every edge's 4x4 matrix M of adjacent zone pairs, each pair seen once,
+from its lower-ranked end: the 4-cliques are M[T][T] and the 4-cycles
+M[S_u][S_v] + M[S_v][S_u].
+Edges that share a center h, an end with enough edges in the call that
+sharing its reads pays (``STAR``), go to star batches of up to 62 edges
+(h, x_i), which share the reads at h (the combinatorial relations of PGD,
+Ahmed et al. 2015, on the sampled path): one bit marks N(h) and one bit per
+edge N(x_i), one scan of the up-lists of N(h) counts, at each vertex b, the
+pairs (a, b) with a in N(h), and the pairs from h's side alone follow from
+those counts by subtraction.  Only the up-lists of x_i and of its zone
+members are read per edge.  Every value is an exact integer, so an edge's M
+and D do not depend on the kind of batch that ran it.
 ``ZoneKernel.tallies`` turns those and the endpoint degrees into the 17
 unrestricted tallies c of ``edge_tallies``: every per-edge caller starts from
 c.  ``tally_sums`` states their sum over all edges from six edge sums.  The
@@ -34,7 +43,17 @@ from .graph import Graph, _gather, resolve_edge
 
 # zone codes: a vertex's two mark bits for one edge (u, v), "in N(u)" the high one
 _SV, _SU, _T = 1, 2, 3
-EDGES = 31  # edges per batch: two mark bits each in one int64 word
+EDGES = 31  # edges per lane batch: two mark bits each in one int64 word
+# a center h gets star batches when (its edges in the call - 1) * reach[h], about
+# the up-list reads a star batch saves over lane batches, is at least STAR.  A
+# star batch's fixed cost is about 80 us against 45 for a lane batch (one
+# degree-2 edge, 2-CPU VM), so a center that saves few reads is better left in
+# lane batches.  Measured on uniform p = 0.02-0.08 draws of the perfbench
+# inputs and of gen_power_law(20000, 4.0, 3), and on the max-kcore shares,
+# 4,000-16,000 ran about equal and 8,000 best.  A plain count of 6 edges at
+# the center ran 13% slower than no star batches on the 3,381-edge draw at p =
+# 0.08 of that 41,658-edge graph; this rule runs it 17% faster.
+STAR = 8000
 # gathered neighbor entries per batch or chunk: bounds its working set.  At
 # 2**17 the whole-graph pass's ids made megabyte temporaries that glibc gave
 # back to the OS and faulted in again on every call: 6,000-8,000 minor faults
@@ -190,19 +209,52 @@ class ZoneKernel:
     def tallies(self, ends: np.ndarray):
         """(c, M, D) over the edges (u, v) in ``ends``: the 17 unrestricted tallies
         of ``edge_tallies``, adjacent zone pairs M[zone of the lower-ranked
-        end][zone of the other] and zone degree sums D[zone], as arrays over the
-        edges; of one edge, as Python ints, which cost less than arrays."""
-        parts = [self._batch(ends[lo:hi])
-                 for lo, hi in _chunks(self.reach[ends].sum(axis=1), EDGES)]
-        if not parts:  # no edges: one empty batch shapes the empty arrays
-            parts = [self._batch(ends)]
-        t, M, D = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        end][zone of the other] among T, S_u and S_v (M's far row and column are
+        zero) and zone degree sums D[zone], as arrays over the edges; of one
+        edge, as Python ints, which cost less than arrays.  Edges at a center
+        with enough edges in the call (``STAR``) go to star batches, the rest to
+        lane batches; both give every edge the same numbers."""
+        E = len(ends)
+        t, M, D = (np.zeros(shape, np.int64) for shape in (E, (4, 4, E), (4, E)))
+        lanes, stars = self._route(ends)
+        # star batches first: run after the lane batches, whose gathers are
+        # larger, they left the estimate CLI's peak RSS 1.9 MB higher
+        for h, at in stars:
+            x = ends[at].sum(axis=1) - h
+            for lo, hi in _chunks(self.reach[x] + self._ups(x), 2 * EDGES):
+                part = at[lo:hi]
+                t[part], M[..., part], D[:, part] = self._star(h, x[lo:hi], ends[part, 0] != h)
+        for lo, hi in _chunks(self.reach[ends[lanes]].sum(axis=1), EDGES):
+            at = lanes[lo:hi]
+            t[at], M[..., at], D[:, at] = self._batch(ends[at])
         du, dv = self.deg[ends].T
-        if len(ends) == 1:
+        if E == 1:
             t, M, D, du, dv = (a[..., 0].tolist() for a in (t, M, D, du, dv))
         c = edge_tallies(t, M[_T][_T], M[_SU][_SV] + M[_SV][_SU], du, dv,
                          self.g.n, self.g.m)
         return c, M, D
+
+    def _route(self, ends):
+        """(positions of lane-batch edges, [(center, positions of its edges)]).
+
+        An edge's center is its end with more edges in the call, ties to the
+        larger ``reach``; ``STAR`` says which centers get star batches."""
+        if len(ends) < 2:
+            return np.arange(len(ends)), []
+        verts, at, count = np.unique(ends, return_inverse=True, return_counts=True)
+        at = at.reshape(ends.shape)
+        (cu, cv), (ru, rv) = count[at].T, self.reach[ends].T
+        center = np.where((cv > cu) | ((cv == cu) & (rv > ru)), at[:, 1], at[:, 0])
+        star = (count[center] - 1) * self.reach[verts[center]] >= STAR
+        order = np.flatnonzero(star)
+        order = order[np.argsort(center[order], kind="stable")]
+        cuts = np.flatnonzero(np.diff(center[order])) + 1
+        return np.flatnonzero(~star), [(int(verts[center[part[0]]]), part)
+                                       for part in np.split(order, cuts) if len(part)]
+
+    def _ups(self, verts):
+        """The up-list lengths of ``verts``."""
+        return self.up[0][verts + 1] - self.up[0][verts]
 
     def _mark(self, ends):
         """Mark a batch; (entries to clear, its sources, 4 * edge + zone of each)."""
@@ -230,7 +282,68 @@ class ZoneKernel:
         key += (self.words[up] >> ((key >> 4) << 1)) & 3
         self.words[nbrs] = 0
         M = np.bincount(key, minlength=16 * B).reshape(B, 4, 4)
+        M[:, :, 0] = 0  # zone-to-zone pairs only, as from a star batch
         return t, M.transpose(1, 2, 0), D.reshape(B, 4).T
+
+    def _star(self, h, x, flip):
+        """(t, M, D) of the edges (h, x_i), or (x_i, h) where ``flip``: a star batch.
+
+        Bit i of a word marks N(x_i) and bit 2 * EDGES marks N(h), so a vertex's
+        code in lane i is 3 in T_i, 2 in S_h = N(h) \\ N[x_i] and 1 in S_x =
+        N(x_i) \\ N[h].  One scan of the up-lists of N(h), shared by every
+        lane, keeps their marked targets sorted, so cnt(b) = #{a in N(h): b in
+        up(a)} is two binary searches and needs no scratch array.  The pairs
+        from x_i, T_i and S_x come from their own up-lists; those from S_h are
+        cnt summed over a zone less the pairs from x_i and T_i, as N(h) is
+        S_h, T_i and x_i.
+        """
+        g, words, L = self.g, self.words, len(x)
+        nh = g.indices[g.indptr[h]:g.indptr[h + 1]]
+        nx, lens = _gather(g.indptr, g.indices, x)
+        lane = np.repeat(np.arange(L), lens)
+        words[nh] = 1 << 2 * EDGES
+        np.add.at(words, nx, 1 << lane)  # distinct bits, as in ``_mark``
+        words[h] = 0  # an endpoint of every lane
+        w = words[nx]
+        cell = lane << 2 | (w >> 2 * EDGES) << 1 | (w >> lane) & 1  # h's word is 0
+        t = np.bincount(cell, minlength=4 * L)[_T::4]
+        # sums of degrees or of cnt are at most 2m < 2**53, so float bincounts are exact
+        D = np.bincount(cell, self.deg[nx], 4 * L).astype(np.int64).reshape(L, 4)
+        C = np.zeros(4 * L)  # cnt summed over each lane's zones
+        for lo, hi in _chunks(self._ups(nh)):  # the sums add up over the slices
+            up, _ = _gather(*self.up, nh[lo:hi])
+            w = words[up]
+            hit = np.sort(up[w != 0])  # cnt(b) is how often b is in ``hit``
+            C += np.bincount(cell, _count(hit, nx), 4 * L)
+            # cnt over N(h) less x_i's own, into the S_h slot
+            C[_SU::4] += np.count_nonzero(w >> 2 * EDGES) - _count(hit, x)
+        C = C.astype(np.int64).reshape(L, 4)
+        C[:, _SU] -= C[:, _T]  # less T's: N(h) is S_h, T_i and x_i
+        keep = (cell & 3) != 0
+        src = np.concatenate([x, nx[keep]])
+        up, lens = _gather(*self.up, src)
+        key = np.repeat(np.concatenate([np.arange(L) << 2, cell[keep]]) << 2, lens)
+        w = words[up]
+        key += (w >> 2 * EDGES) << 1 | (w >> (key >> 4)) & 1
+        words[nh], words[nx] = 0, 0
+        M = np.bincount(key, minlength=16 * L).reshape(L, 4, 4)  # row 0: from x_i
+        # x_i is in N(h) but no zone of its own lane: its pairs with its
+        # neighbors ranked below it were read as going into S_h
+        n = len(self.deg)
+        below = keep & (self.deg[nx] * n + nx < (self.deg[x] * n + x)[lane])
+        M[:, :, _SU] -= np.bincount(cell[below], minlength=4 * L).reshape(L, 4)
+        M[:, _SU, 1:] = C[:, 1:] - M[:, 0, 1:] - M[:, _T, 1:]  # less the pairs from x_i, T
+        M[:, 0] = M[:, :, 0] = 0
+        D[:, 0], D[:, _SU] = 0, int(self.deg[nh].sum()) - self.deg[x] - D[:, _T]
+        if flip.any():  # S_h is S_u unless h is the edge's v
+            swap = np.array([0, _SU, _SV, _T])
+            M[flip], D[flip] = M[flip][:, swap[:, None], swap], D[flip][:, swap]
+        return t, M.transpose(1, 2, 0), D.T
+
+
+def _count(hit: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """How often each of ``verts`` is in the sorted array ``hit``."""
+    return np.searchsorted(hit, verts, "right") - np.searchsorted(hit, verts)
 
 
 def zone_kernel(g: Graph) -> ZoneKernel:

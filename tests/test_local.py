@@ -214,33 +214,115 @@ def split_outputs(g):
 def test_batch_split_invariance(name, monkeypatch):
     g = SUITE[name]
     want = split_outputs(g)
-    for patch in ({"EDGES": 1}, {"BUDGET": 1}, {"BUDGET": 2**40}):
+    for patch in ({"EDGES": 1}, {"BUDGET": 1}, {"BUDGET": 2**40}, {"STAR": 0},
+                  {"STAR": 2**62}):
         with monkeypatch.context() as mp:
             for key, value in patch.items():
                 mp.setattr(local, key, value)
             assert split_outputs(g) == want, patch
 
 
+def star_with_noise():
+    """K_{1,150} at vertex 0 plus G(201, 0.03) noise: one center with more
+    than 2 * EDGES edges, so more than one star batch."""
+    hub = [(0, i) for i in range(1, 151)]
+    return from_edges(np.vstack([hub, gen_er(201, 0.03, 7).edges]))
+
+
+PARITY = {"power_law": SUITE["power_law"], "planted": SUITE["planted"],
+          "star": star_with_noise()}
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_tallies_agree_across_batch_kinds(name, budget, monkeypatch):
+    # every edge's (c, M, D) is the same from a star batch as from a lane batch
+    g = PARITY[name]
+    kernel, rng = zone_kernel(g), np.random.default_rng(0)
+    ids = np.concatenate([np.arange(g.m), rng.integers(0, g.m, g.m // 2)])  # repeats
+    ends = g.edges[ids].astype(np.int64)
+    flip = rng.random(len(ends)) < 0.5
+    ends[flip] = ends[flip, ::-1]  # either end first
+    if budget:  # slices the larger centers' scans
+        monkeypatch.setattr(local, "BUDGET", budget)
+        scans = [np.diff(kernel.up[0])[neighbors(g, h)].sum() for h in range(g.n)]
+        assert max(scans) > budget
+    out = []
+    for star in (0, 2**62):  # every center to star batches, then none
+        monkeypatch.setattr(local, "STAR", star)
+        out.append(kernel.tallies(ends))
+        assert not kernel.words.any()
+    (c, M, D), (c_lane, M_lane, D_lane) = out
+    assert all(np.array_equal(a, b) for a, b in zip(c, c_lane))
+    assert np.array_equal(M, M_lane) and np.array_equal(D, D_lane)
+    assert not M[0].any() and not M[:, 0].any()  # zone-to-zone pairs only
+
+
 def test_batches_keep_to_the_edge_cap_and_budget(monkeypatch):
     g = SUITE["power_law"]
-    kernel, batches = zone_kernel(g), []
-    batch = local.ZoneKernel._batch
+    kernel, batches, stars, inside = zone_kernel(g), [], [], []
+    batch, star, gather = local.ZoneKernel._batch, local.ZoneKernel._star, local._gather
 
     def spy(self, ends):
-        batches.append((len(ends), int(self.reach[ends].sum())))
+        batches.append(ends)
         return batch(self, ends)
 
+    def star_spy(self, h, x, flip):
+        stars.append((h, x, []))
+        inside.append(True)
+        try:
+            return star(self, h, x, flip)
+        finally:
+            inside.pop()
+
+    def gather_spy(offsets, ids, verts):
+        lists, lens = gather(offsets, ids, verts)
+        if inside:  # (lists, entries) of each gather in a star batch
+            stars[-1][2].append((len(verts), len(lists)))
+        return lists, lens
+
     monkeypatch.setattr(local.ZoneKernel, "_batch", spy)
+    monkeypatch.setattr(local.ZoneKernel, "_star", star_spy)
+    monkeypatch.setattr(local, "_gather", gather_spy)
     monkeypatch.setattr(local, "BUDGET", 1500)
     ends = g.edges[np.argsort(-g.edge_hardness(), kind="stable")]
+
+    def lane_batches_keep_to_the_cap_and_budget(ends):
+        sizes = [len(b) for b in batches]
+        assert np.array_equal(np.concatenate(batches), ends)  # in the call's order
+        works = [int(kernel.reach[b].sum()) for b in batches]
+        # a batch over the budget is one edge alone; reach bounds what a batch gathers
+        assert all(size <= local.EDGES and (work <= 1500 or size == 1)
+                   for size, work in zip(sizes, works))
+        # a batch ends only where the edge cap or the budget ends it
+        reach = kernel.reach[ends].sum(axis=1)
+        starts = np.cumsum(sizes)[:-1]
+        assert all(size == local.EDGES or work + reach[at] > 1500
+                   for size, work, at in zip(sizes, works, starts))
+        return sizes, works
+
+    with monkeypatch.context() as mp:  # every edge to the lane batches
+        mp.setattr(local, "STAR", 2**62)
+        kernel.tallies(ends)
+    assert not stars
+    sizes, works = lane_batches_keep_to_the_cap_and_budget(ends)
+    assert sum(sizes) == g.m
+    assert {size for size, work in zip(sizes, works) if work > 1500} == {1}
+    assert max(sizes) == local.EDGES
+
+    batches.clear()
     kernel.tallies(ends)
-    assert sum(size for size, _ in batches) == g.m
-    # a batch over the budget is one edge alone; reach bounds what a batch gathers
-    assert all(size <= local.EDGES and (work <= 1500 or size == 1) for size, work in batches)
-    assert {size for size, work in batches if work > 1500} == {1}
-    assert max(size for size, _ in batches) == local.EDGES
-    # a batch ends only where the edge cap or the budget ends it
-    reach = kernel.reach[ends].sum(axis=1)
-    starts = np.cumsum([size for size, _ in batches])[:-1]
-    assert all(size == local.EDGES or work + reach[at] > 1500
-               for (size, work), at in zip(batches, starts))
+    in_star = {frozenset((h, int(y))) for h, x, _ in stars for y in x}
+    lanes = np.array([e for e in ends.tolist() if frozenset(e) not in in_star])
+    sizes, _ = lane_batches_keep_to_the_cap_and_budget(lanes)
+    # star batches count toward the total: every edge once, in one kind of batch
+    assert sum(sizes) + sum(len(x) for _, x, _ in stars) == g.m == len(lanes) + len(in_star)
+    # a lane's work, reach[x] + |up(x)|, bounds what a star batch gathers for it
+    work = kernel.reach + np.diff(kernel.up[0])
+    for (h, x, gathers), nxt in zip(stars, stars[1:] + [(None, None, None)]):
+        assert len(x) <= 2 * local.EDGES and (work[x].sum() <= 1500 or len(x) == 1)
+        assert all(entries <= 1500 or lists == 1 for lists, entries in gathers)
+        if nxt[0] == h:  # a center's batch ends only where the lane cap or the budget does
+            assert len(x) == 2 * local.EDGES or work[x].sum() + work[nxt[1][0]] > 1500
+    assert len({h for h, _, _ in stars}) < len(stars)  # some center takes several batches
+    assert max(len(x) for _, x, _ in stars) == 2 * local.EDGES
