@@ -13,10 +13,10 @@ contribution.
 All accumulation is exact integer arithmetic (int64 summed in 32-bit halves
 or ``LIMB``-bit limbs, Python ints only in the totals), so results are bitwise
 identical for any worker count or batch split.  The tallies come from
-``local.ZoneKernel.tallies`` and the workers from ``local._parallel_map``.
+``local.ZoneKernel.tallies`` through the per-edge driver ``local.per_edge``.
 Estimates are floats, rounded once; exact counts are integers from one
 producer, ``exact_counts``, which a design drawing every edge with pi = 1
-also returns: the whole-graph pass of ``wholegraph``, on the same map.
+also returns: the whole-graph pass of ``wholegraph``, on the driver's map.
 
 Per-edge contributions to each estimator slot are integral after scaling by
 12 (the least common multiple of the correction denominators), which is what
@@ -28,14 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from statistics import NormalDist
 
 import numpy as np
 
-from . import local, patterns
+from . import patterns
 from .graph import Graph
-from .local import _parallel_map, isum, zone_kernel
+from .local import isum, per_edge
 from .wholegraph import edge_totals
 
 SCALE = 12  # all per-edge weighted contributions are integral at this scale
@@ -180,50 +179,31 @@ def _square_sums(c) -> np.ndarray:
     return sum(s[i, j] << LIMB * (i + j) + (i < j) for i, j in s)  # i < j comes twice
 
 
-def _accumulate_serial(g: Graph, rows: np.ndarray, inclusions: list,
-                       with_sq: bool) -> list[UnrestrictedAccumulator]:
-    """One accumulator per level: exact sums of c(e), and of z(e)^2 when
-    ``with_sq``, over the (edge id, level) ``rows`` at that level, whose
-    inclusion is ``inclusions[level]``.
-
-    ``local.ZoneKernel.tallies`` gives c(e) for a chunk of edges at a time (Python
-    ints for one edge), stacked into one (17, k) int64 array.  z^2 overflows
-    int64 past r = 22,600, so ``_square_sums`` sums it in int64 limbs.
-    """
-    kernel = zone_kernel(g)
-    counts = np.zeros((len(inclusions), 17), dtype=object)
-    sq = np.zeros_like(counts)
-    for i in range(0, len(rows), local.CHUNK):
-        ids, level = rows[i:i + local.CHUNK].T
-        c = np.array(kernel.tallies(g.edges[ids])[0], dtype=np.int64).reshape(17, -1)
-        levels = np.unique(level).tolist()
-        for q in levels:
-            cq = c if len(levels) == 1 else c[:, level == q]
-            counts[q] += isum(cq)
-            if with_sq:
-                sq[q] += _square_sums(cq)
-    return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, inclusion=q)
-            for c, s, q in zip(counts.tolist(), sq.tolist(), inclusions)]
-
-
 def _accumulate_levels(g: Graph, ids: np.ndarray, level: np.ndarray, inclusions: list,
                        workers: int, with_sq: bool) -> list[UnrestrictedAccumulator]:
-    """``_accumulate_serial`` over ids[i] at level[i], from one parallel map.
+    """One accumulator per level: exact sums of c(e), and of z(e)^2 when
+    ``with_sq``, over the edges ids[i] at that level, level[i], whose
+    inclusion is ``inclusions[level]``.
 
-    Rows go to the map in descending hardness d(u) + d(v), ties in place:
-    this measured faster than the rows as given, shuffled or in id order.
-    Every sum is an exact integer sum, so the result does not depend on the
-    order of the rows, and is bitwise identical for any worker count or
-    share split.
+    Each ``local.per_edge`` call sums its tallies by level; z^2 overflows
+    int64 past r = 22,600, so ``_square_sums`` sums it in int64 limbs.  Every
+    sum is an exact integer sum, so the result does not depend on the order
+    of the ids, and is bitwise identical for any worker count or share split.
     """
-    if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
-        raise ValueError("edge id out of range")
-    kernel = zone_kernel(g)  # built here, so forked workers share its up-lists
-    hardness = kernel.deg[g.edges[ids]].sum(axis=1)
-    rows = np.column_stack([ids, level])[np.argsort(-hardness, kind="stable")]
-    parts = _parallel_map(lambda part: _accumulate_serial(g, part, inclusions, with_sq),
-                          rows, workers)
-    return [reduce(UnrestrictedAccumulator.merge, accs) for accs in zip(*parts)]
+    zero = np.zeros((2, len(inclusions), 17), dtype=object)
+
+    def sums(at, c, M, D):  # one call's (counts, squares) by level
+        c = np.asarray(c, dtype=np.int64).reshape(17, -1)  # one edge's Python ints too
+        out, lv = zero.copy(), level[at]
+        for q in np.unique(lv).tolist():
+            cq = c[:, lv == q]
+            out[0, q] = isum(cq)
+            out[1, q] = _square_sums(cq) if with_sq else 0
+        return out
+
+    counts, sq = sum(per_edge(g, ids, sums, workers), zero)
+    return [UnrestrictedAccumulator(counts=c, sq=s if with_sq else None, inclusion=q)
+            for c, s, q in zip(counts.tolist(), sq.tolist(), inclusions)]
 
 
 def accumulate(
@@ -235,9 +215,8 @@ def accumulate(
 ) -> UnrestrictedAccumulator:
     """Sum per-edge tallies over ``edge_ids`` (repeats allowed); bitwise
     identical for any worker count."""
-    ids = np.asarray(edge_ids, dtype=np.int64)
-    [acc] = _accumulate_levels(g, ids, np.zeros(len(ids), dtype=np.int64), [inclusion],
-                               workers, with_sq)
+    [acc] = _accumulate_levels(g, edge_ids, np.zeros(len(edge_ids), dtype=np.int64),
+                               [inclusion], workers, with_sq)
     return acc
 
 

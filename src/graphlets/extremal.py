@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimate import SampleDesign, sample_edges
 from .graph import Graph
-from .local import _parallel_map
+from .local import per_edge
 from .micro import MicroKernel
 from .patterns import resolve_pattern
 
@@ -31,12 +31,6 @@ class ExtremalResult:
     exact: bool  # True when every edge was scanned
 
 
-def _best_over(kernel: MicroKernel, ids, pid: int) -> tuple[int, int]:
-    """(largest count, -edge id) over ``ids``: ties go to the smaller id."""
-    col = kernel.column(ids, pid)
-    return int(col.max()), -int(ids[col == col.max()].min())
-
-
 def max_per_edge(
     g: Graph,
     pattern,
@@ -49,16 +43,18 @@ def max_per_edge(
     if len(ids) == 0:
         raise ValueError("edge sample is empty; nothing to scan")
 
-    kernel = MicroKernel(g)  # built here, so forked workers share its up-lists
-    parts = _parallel_map(lambda part: _best_over(kernel, part, pid), ids, workers)
-    best_val, neg_eid = max(parts)
-    best_eid = -neg_eid
+    kernel = MicroKernel(g)
 
-    u, v = g.edges[best_eid]
+    def best(at, c, M, D):  # (largest count, -edge id): ties go to the smaller id
+        col = np.atleast_1d(kernel._slots(c, M, D)[pid - 1])  # an int for one edge
+        return int(col.max()), -int(ids[at][col == col.max()].min())
+
+    value, neg_id = max(per_edge(g, ids, best, workers))
+    u, v = g.edges[-neg_id]
     return ExtremalResult(
         pattern_id=pid,
-        value=int(best_val),
-        edge_id=int(best_eid),
+        value=value,
+        edge_id=-neg_id,
         endpoints=(int(u), int(v)),
         scanned=int(len(ids)),
         exact=len(ids) == g.m,

@@ -26,7 +26,7 @@ and D do not depend on the kind of batch that ran it.
 ``ZoneKernel.tallies`` turns those and the endpoint degrees into the 17
 unrestricted tallies c of ``edge_tallies``: every per-edge caller starts from
 c.  ``tally_sums`` states their sum over all edges from six edge sums.  The
-fork map ``_parallel_map``, which every module's workers run on, is here.
+per-edge driver ``per_edge`` and the fork map ``_parallel_map`` are here.
 """
 
 from __future__ import annotations
@@ -351,6 +351,28 @@ def zone_kernel(g: Graph) -> ZoneKernel:
     if g._zones is None:
         g._zones = ZoneKernel(g)
     return g._zones
+
+
+def per_edge(g: Graph, ids, fn, workers: int) -> list:
+    """The results of ``fn(at, c, M, D)`` on calls of at most ``CHUNK`` of the
+    edges ``ids`` (repeats allowed), from one parallel map: ``at`` is a call's
+    positions in ``ids`` and (c, M, D) its ``ZoneKernel.tallies`` (Python ints
+    for a one-edge call).  Positions go in order of their edge's center, its
+    higher-ranked end by (degree, id), heaviest first and ties in place: a
+    hub's edges share calls and star batches, and interleaved shares stay even.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and (ids.min() < 0 or ids.max() >= g.m):
+        raise ValueError("edge id out of range")
+    kernel = zone_kernel(g)  # built here, so forked workers share its up-lists
+    ends = g.edges[ids]
+    order = np.argsort(-(kernel.deg[ends] * len(kernel.deg) + ends).max(axis=1), kind="stable")
+
+    def share(positions):
+        calls = [positions[lo:lo + CHUNK] for lo in range(0, len(positions), CHUNK)]
+        return [fn(at, *kernel.tallies(ends[at])) for at in calls]
+
+    return [r for part in _parallel_map(share, order, workers) for r in part]
 
 
 def edge_tallies(t, k4, cyc, du, dv, n, m) -> tuple:

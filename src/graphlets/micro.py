@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import local
 from .graph import Graph, resolve_edge
-from .local import _SU, _SV, _T, zone_kernel
+from .local import _SU, _SV, _T, per_edge, zone_kernel
+from .patterns import resolve_pattern
 
 
 @dataclass
@@ -55,20 +55,21 @@ class MicroKernel:
 
     def counts(self, edge) -> MicroEstimate:
         u, v = resolve_edge(self.g, edge)
-        x = self._slots(np.array([[u, v]]))
+        x = self._slots(*self._zones.tallies(np.array([[u, v]])))
         su = int(self._zones.deg[u]) - 1 - x[2]
         return MicroEstimate(x=x, u=u, v=v, zones=(x[2], su, x[3] - su, x[4]))
 
-    def column(self, ids, pattern_id: int) -> np.ndarray:
-        """Exact counts of one pattern at each edge of ``ids``, as int64."""
-        ends = self.g.edges[np.asarray(ids, dtype=np.int64)]
-        return np.hstack([self._slots(ends[i:i + local.CHUNK])[pattern_id - 1]
-                          for i in range(0, max(len(ends), 1), local.CHUNK)])
+    def column(self, ids, pattern_id) -> np.ndarray:
+        """Exact counts of one pattern (an id or a name) at each edge of ``ids``, as int64."""
+        slot = resolve_pattern(pattern_id) - 1
+        col = np.zeros(len(ids), dtype=np.int64)
+        for at, x in per_edge(self.g, ids, lambda at, *cMD: (at, self._slots(*cMD)[slot]), 1):
+            col[at] = x
+        return col
 
-    def _slots(self, ends: np.ndarray) -> list:
-        """The 17 slots of the edges ``ends``: int64 arrays; of one edge, Python
-        ints (``ZoneKernel.tallies``)."""
-        c, M, D = self._zones.tallies(ends)
+    def _slots(self, c, M, D) -> list:
+        """The 17 slots from one ``ZoneKernel.tallies`` result (c, M, D): int64
+        arrays over its edges; of one edge, Python ints."""
         x = list(c)
         t, s, a_tt, a_uv = x[2], x[3], x[6], x[9]  # s = |S_u| + |S_v|
         a_ss = M[_SU][_SU] + M[_SV][_SV]

@@ -51,6 +51,9 @@ ARGSETS = [
     ["gfd", "--p", "0.5", "--variant", "connected", "--workers", "2", "--format", "tsv"],
     ["gfd", "--p", "1"],  # a census
     ["max", "--pattern", "4-cycle"],
+    ["max", "--pattern", "4-cycle", "--workers", "2"],
+    # the perfbench max-kcore shape
+    ["max", "--pattern", "4-cycle", "--size", "{half}", "--weighting", "kcore", "--workers", "2"],
     ["max", "--pattern", "triangle", "--p", "0.5", "--weighting", "kcore", "--workers", "2",
      "--format", "tsv"],
     ["oracle"],

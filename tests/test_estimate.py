@@ -235,7 +235,9 @@ def test_parallel_bitwise_identity(eight_cpus):
 def test_one_pool_per_sample_and_estimate(monkeypatch):
     # a kcore design has one inclusion level per edge core number; every level
     # goes through one parallel map, and each level's sums are the ones a
-    # separate accumulate call over that level gives
+    # separate accumulate call over that level gives.  accumulate and full and
+    # sampled max_per_edge make one map call each too: every per-edge map runs
+    # through local.per_edge
     g = gen_power_law(400, 6.0, 5)
     design = SampleDesign(p=0.3, weighting="kcore", seed=2)
     ids, pi = _draw(g, design)
@@ -251,7 +253,7 @@ def test_one_pool_per_sample_and_estimate(monkeypatch):
         calls.append(len(rows))
         return parallel_map(fn, rows, workers)
 
-    monkeypatch.setattr(estimate, "_parallel_map", counted)  # the name estimate calls
+    monkeypatch.setattr(local, "_parallel_map", counted)  # the name per_edge calls
     for workers in (1, 2):
         calls.clear()
         est = sample_and_estimate(g, design, workers=workers)
@@ -259,6 +261,15 @@ def test_one_pool_per_sample_and_estimate(monkeypatch):
         assert (est.X, est.variance, est.k_used) == (
             per_level.X, per_level.variance, per_level.k_used)
         assert confidence_bounds(est) == confidence_bounds(per_level)
+        calls.clear()
+        accumulate(g, ids, workers=workers, with_sq=True, inclusion=Fraction(1, 2))
+        assert calls == [len(ids)]
+        calls.clear()
+        max_per_edge(g, "4-cycle", workers=workers)
+        assert calls == [g.m]
+        calls.clear()
+        max_per_edge(g, "4-cycle", design, workers=workers)
+        assert calls == [len(ids)]
 
 
 def test_serial_fallback_without_fork(monkeypatch, eight_cpus):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,34 @@ def star_with_noise():
     than 2 * EDGES edges, so more than one star batch."""
     hub = [(0, i) for i in range(1, 151)]
     return from_edges(np.vstack([hub, gen_er(201, 0.03, 7).edges]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_edge_calls_run_in_center_order(workers, monkeypatch, eight_cpus):
+    # the hub is vertex 100, not 0: the driver orders by center rank, not by
+    # id.  Each share's calls come heaviest center first, and every position of
+    # ids, repeats included, is in exactly one call, with its own edge
+    star = star_with_noise()
+    g = from_edges((star.edges + 100) % star.n)
+    rank = g.degrees * len(g.degrees) + np.arange(len(g.degrees))  # (degree, id) order
+    assert np.argmax(rank) == 100
+    rng = np.random.default_rng(1)
+    ids = np.concatenate([rng.permutation(g.m), rng.integers(0, g.m, 40)])
+    seen, tallies = [], local.ZoneKernel.tallies
+    monkeypatch.setattr(local.ZoneKernel, "tallies",
+                        lambda self, ends: seen.append(ends) or tallies(self, ends))
+    monkeypatch.setattr(local, "CHUNK", 16)
+    # fn runs in the share's own process, right after its call's tallies
+    calls = local.per_edge(g, ids, lambda at, c, M, D: (os.getpid(), at, seen[-1]), workers)
+    assert len({pid for pid, _, _ in calls}) == workers
+    for pid in {pid for pid, _, _ in calls}:
+        ends = np.concatenate([ends for p, _, ends in calls if p == pid])
+        centers = rank[ends].max(axis=1)
+        assert (np.diff(centers) <= 0).all() and centers[0] == rank[100]
+    for _, at, ends in calls:
+        assert len(at) <= 16 and np.array_equal(ends, g.edges[ids[at]])
+    at = np.concatenate([at for _, at, _ in calls])
+    assert np.array_equal(np.sort(at), np.arange(len(ids)))
 
 
 PARITY = {"power_law": SUITE["power_law"], "planted": SUITE["planted"],

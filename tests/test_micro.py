@@ -191,6 +191,26 @@ def test_univariate_stats_is_the_kernel_loop():
             g.m, min(loop), max(loop), sum(loop) / g.m), pid
 
 
+def test_column_refuses_ids_out_of_range():
+    # -1 would index the last edge, and m past the end
+    g = gen_er(20, 0.3, 40)
+    for ids in ([-1], [g.m], [0, g.m]):
+        with pytest.raises(ValueError, match="edge id out of range"):
+            MicroKernel(g).column(ids, 10)
+
+
+def test_pattern_ids_are_validated():
+    # 0 and -1 would index slots 17 and 16
+    g = gen_er(20, 0.3, 40)
+    for pid in (0, -1, 18):
+        with pytest.raises(KeyError):
+            MicroKernel(g).column(np.arange(g.m), pid)
+        with pytest.raises(KeyError):
+            univariate_stats(g, pid)
+    assert np.array_equal(MicroKernel(g).column(np.arange(g.m), "4-cycle"),
+                          MicroKernel(g).column(np.arange(g.m), 10))
+
+
 def test_p4_univariate_example(named):
     # the 4-path pattern appears once per edge of P4: summary is all ones
     g = named["P4"]

@@ -18,6 +18,7 @@ from graphlets import (
     brute_force_counts,
     exact_counts,
     from_edges,
+    micro_counts,
     parse_graph,
     scaled_contributions,
     unrestricted_counts,
@@ -306,6 +307,25 @@ def test_squares_exact_at_the_largest_n(monkeypatch):
         assert acc.sq == want
         assert acc.counts == [sum(col) for col in zip(*cols)]
     assert max(want) > 2**128
+
+
+def test_driver_exact_at_the_largest_n(monkeypatch):
+    # accumulate and column run through local.per_edge on a graph whose CSR
+    # stops short of n, in one call and in one-edge calls (Python ints from
+    # the kernel); every result equals the Python-int tallies
+    g, cols = tailed_triangle(2**31 - 1)
+    ids = np.array([4, 0, 2, 2, 1, 3])  # repeats, out of id order
+    want = [micro_counts(g, e).x for e in ids.tolist()]
+    for chunk in (local.CHUNK, 1):
+        monkeypatch.setattr(local, "CHUNK", chunk)
+        acc = accumulate(g, ids, inclusion=Fraction(1))
+        assert all(type(x) is int for x in acc.counts)
+        assert acc.counts == [sum(cols[e][i] for e in ids.tolist()) for i in range(17)]
+        for pid in range(1, 18):
+            got = MicroKernel(g).column(ids, pid)
+            assert got.dtype == np.int64
+            assert got.tolist() == [x[pid - 1] for x in want], pid
+    assert max(max(x) for x in want) > 2**60
 
 
 def test_squares_past_int64():
