@@ -82,10 +82,11 @@ def _draw(g: Graph, design: SampleDesign) -> tuple[np.ndarray, np.ndarray]:
 
     Edge e is drawn when its uniform key falls below pi_e.  The heaviest
     edges are capped at pi = 1 and c scales the rest to the remaining
-    target; a uniform ``p`` design has pi_e = p exactly.
+    target; a uniform ``p`` design has pi_e = p exactly, as a read-only
+    broadcast of p that takes no memory per edge.
     """
     if design.weighting == "uniform" and design.p is not None:
-        pi = np.full(g.m, design.p)
+        pi = np.broadcast_to(design.p, g.m)
     else:
         w = np.ones(g.m) if design.weighting == "uniform" else g.edge_core().astype(np.float64)
         target = design.size if design.size is not None else design.p * g.m

@@ -241,7 +241,8 @@ def _peel_cores(g: Graph) -> np.ndarray:
         front = live[deg[live] <= k]
         while len(front) >= _WAVE_MIN:  # O(frontier + its neighbor entries)
             core[front], alive[front] = k, False
-            nbr = _gather(g.indptr, g.indices, front)[0]
+            # intp once: an int32 fancy index casts on every use, at about 2x the cost
+            nbr = _gather(g.indptr, g.indices, front)[0].astype(np.intp)
             nbr = nbr[alive[nbr]]
             np.subtract.at(deg, nbr, 1)
             front = np.unique(nbr[deg[nbr] <= k])
@@ -259,10 +260,15 @@ def _peel_cores(g: Graph) -> np.ndarray:
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse graph text in one of ``FORMATS``, by the rules of the module docstring."""
+    """Parse graph text in one of ``FORMATS``, by the rules of the module docstring.
+
+    Holds the text until it is tokenized (unless a caller holds it too), and
+    each token array until its last reader is done."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format hint {fmt!r}")
-    g = _parse_tokens(fmt, *_tokenize(text.removeprefix("\ufeff")))
+    rows = list(_tokenize(text.removeprefix("\ufeff")))
+    del text
+    g = _parse_tokens(fmt, rows)
     # The tokens and the parse's scratch arrays, tens of MB on a large input,
     # are free now.  glibc keeps freed heap pages resident below any block
     # still live above them, so without a trim whether a parse leaves that
@@ -270,17 +276,21 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     # later peak moves with it from one input to the next.
     if _malloc_trim is not None:
         _malloc_trim(0)
+    if g.labels is not None:  # an array until now: as ints, 40 bytes a label
+        g.labels = g.labels.tolist()
     return g
 
 
-def _parse_tokens(fmt, first, tok, widths, lineno) -> Graph:
-    if fmt == "mtx" or first[:1] == ["%%MatrixMarket"]:
-        return _parse_mtx(first, tok, widths, lineno)
-    if not len(widths):
+def _parse_tokens(fmt, rows: list) -> Graph:
+    """The graph of ``_tokenize``'s [first, tok, widths, lineno] in ``rows``; the
+    parser empties ``rows``, so each array is freed when the parser drops it."""
+    if fmt == "mtx" or rows[0][:1] == ["%%MatrixMarket"]:
+        return _parse_mtx(rows)
+    if not len(rows[2]):
         raise GraphParseError("no edges in input")
-    if fmt == "canonical" or (fmt == "auto" and _header(tok, widths)):
-        return _parse_canonical(tok, widths, lineno)
-    return _parse_edgelist(tok, widths, lineno)
+    if fmt == "canonical" or (fmt == "auto" and _header(rows[1], rows[2])):
+        return _parse_canonical(rows)
+    return _parse_edgelist(rows)
 
 
 def _tokenize(text: str):
@@ -458,7 +468,9 @@ def _header(tok: np.ndarray, widths: np.ndarray) -> bool:
     return bool(nm) and nm[1] == len(widths) - 1 and nm[1] <= nm[0] * (nm[0] - 1) // 2
 
 
-def _parse_canonical(tok, widths, lineno) -> Graph:
+def _parse_canonical(rows: list) -> Graph:
+    _, tok, widths, lineno = rows
+    rows.clear()
     hint = "; use --input-format edgelist to read the text as an edge list"
     if not _header(tok, widths):
         raise GraphParseError("expected an 'n m' header followed by m edge rows" + hint,
@@ -466,6 +478,7 @@ def _parse_canonical(tok, widths, lineno) -> Graph:
     n = int(tok[0])
     lineno = lineno[1:]
     _fail_first(lineno, [(widths[1:] != 2, "expected a 'u v' row")], hint)
+    del widths
     ok, uv = _int_pairs(tok[2:].reshape(-1, 2))
     u, v = uv.T
     checks = [
@@ -486,11 +499,17 @@ def _parse_canonical(tok, widths, lineno) -> Graph:
     return from_edges(uv, n=n)  # no bad row: from_edges rejects the n
 
 
-def _parse_edgelist(tok, widths, lineno) -> Graph:
+def _parse_edgelist(rows: list) -> Graph:
+    """The edge list's graph; its ``labels`` are the distinct tokens as an array."""
+    _, tok, widths, lineno = rows
+    rows.clear()
     _fail_first(lineno, [(widths != 2, "expected two labels")])
+    del widths
     labels, ids = _first_appearance_ids(tok)
+    del tok
     _fail_first(lineno, [(ids[::2] == ids[1::2], "self-loop")])
-    return from_edges(ids.reshape(-1, 2), n=len(labels), labels=labels.tolist())
+    del lineno
+    return from_edges(ids.reshape(-1, 2), n=len(labels), labels=labels)
 
 
 def _first_appearance_ids(tok: np.ndarray):
@@ -525,7 +544,9 @@ def _first_appearance_ids(tok: np.ndarray):
     return ranked[heads[by_first]], ids
 
 
-def _parse_mtx(banner, tok, widths, lineno) -> Graph:
+def _parse_mtx(rows: list) -> Graph:
+    banner, tok, widths, lineno = rows
+    rows.clear()
     if banner[:3] != ["%%MatrixMarket", "matrix", "coordinate"]:
         raise GraphParseError(f"unsupported MatrixMarket banner {' '.join(banner)!r}")
     if not len(widths) or widths[0] != 3 or not _naturals(tok[:3]):
@@ -558,7 +579,7 @@ def decode_graph_bytes(data: bytes, source) -> str:
 
 
 def load_graph(path: str | os.PathLike, fmt: str = "auto") -> Graph:
-    """Read a graph file, gzipped (by its magic bytes) or not, and parse it."""
+    """Read a graph file, gzipped (by its magic bytes) or not, and parse it.
+    No name here holds the bytes or the text, so each is freed after its reader."""
     with open(os.fspath(path), "rb") as fh:
-        text = decode_graph_bytes(fh.read(), path)
-    return parse_graph(text, fmt)
+        return parse_graph(decode_graph_bytes(fh.read(), path), fmt)

@@ -193,18 +193,30 @@ def classify_edge(g: Graph, u: int, v: int, marker: VertexMarker | None = None) 
 class ZoneKernel:
     """Mark words (one per CSR vertex) and up-lists of one graph.  The words are
     zero between batches, so their untouched pages cost no RSS; ``reach[x]``, the
-    sum over N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x."""
+    sum over N(x) of 1 + |up-list|, bounds what a batch gathers for an edge at x.
+
+    The kernel holds the degrees, the up-lists' offsets and ids, the words and
+    ``reach``: 4 bytes an edge and 32 a vertex.  Its build reads the CSR in
+    blocks of rows of at most ``BUDGET`` entries and writes straight into those
+    arrays, so no scratch array is as long as the CSR."""
 
     def __init__(self, g: Graph):
         self.g, self.deg = g, g.degrees
-        rank = self.deg * len(self.deg) + np.arange(len(self.deg))  # (degree, id) order
-        above = rank[g.indices] > np.repeat(rank, self.deg)
-        run = np.zeros(len(g.indices) + 1, dtype=np.int64)  # both prefix sums, in turn
-        np.cumsum(above, dtype=np.int64, out=run[1:])
-        self.up = run[g.indptr], g.indices[above]
-        self.words = np.zeros(len(self.deg), dtype=np.int64)
-        np.cumsum((1 + np.diff(self.up[0]))[g.indices], out=run[1:])
-        self.reach = run[g.indptr[1:]] - run[g.indptr[:-1]]
+        n = len(self.deg)
+        rank = self.deg * n + np.arange(n)  # (degree, id) order
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        ids = np.empty(len(g.indices) // 2, dtype=g.indices.dtype)  # each edge is in one list
+        self.up, self.reach = (offsets, ids), np.empty(n, dtype=np.int64)
+        blocks = list(_chunks(self.deg))
+        for lo, hi in blocks:
+            nbr, at = g.indices[g.indptr[lo]:g.indptr[hi]], g.indptr[lo:hi + 1] - g.indptr[lo]
+            above = rank[nbr] > np.repeat(rank[lo:hi], self.deg[lo:hi])
+            offsets[lo + 1:hi + 1] = offsets[lo] + _prefix_sums(above)[at[1:]]
+            np.compress(above, nbr, out=ids[offsets[lo]:offsets[hi]])
+        for lo, hi in blocks:  # now that every up-list is known
+            nbr, at = g.indices[g.indptr[lo]:g.indptr[hi]], g.indptr[lo:hi + 1] - g.indptr[lo]
+            self.reach[lo:hi] = np.diff(_prefix_sums(1 + self._ups(nbr))[at])
+        self.words = np.zeros(n, dtype=np.int64)
 
     def tallies(self, ends: np.ndarray):
         """(c, M, D) over the edges (u, v) in ``ends``: the 17 unrestricted tallies
@@ -339,6 +351,13 @@ class ZoneKernel:
             swap = np.array([0, _SU, _SV, _T])
             M[flip], D[flip] = M[flip][:, swap[:, None], swap], D[flip][:, swap]
         return t, M.transpose(1, 2, 0), D.T
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """0 and the running sums of ``x``, in int64."""
+    out = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(x, out=out[1:])
+    return out
 
 
 def _count(hit: np.ndarray, verts: np.ndarray) -> np.ndarray:

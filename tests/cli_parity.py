@@ -2,19 +2,21 @@
 
     python tests/cli_parity.py PARENT_ROOT [CHANGE_ROOT] [--graph FILE ...]
 
-Writes the suite graphs of ``gen.suite_graphs`` (canonical text) and an
-edgeless graph to a temporary directory, and runs every argument set in
-``ARGSETS`` on each of them, and on each ``--graph`` file, under both roots
-with ``python -m graphlets.cli`` and ``PYTHONPATH=ROOT/src``.  It prints each
-run whose output minus ``timing``, stderr or exit code differs, then a count,
-and exits 1 on any difference.  CHANGE_ROOT defaults to the checkout that
-holds this file.  The file name keeps pytest from collecting it.
+Writes the suite graphs of ``gen.suite_graphs``, as canonical text and as
+gzipped SNAP-style edge lists, and an edgeless graph to a temporary directory,
+and runs every argument set in ``ARGSETS`` on each of them, and on each
+``--graph`` file, under both roots with ``python -m graphlets.cli`` and
+``PYTHONPATH=ROOT/src``.  It prints each run whose output minus ``timing``,
+stderr or exit code differs, then a count, and exits 1 on any difference.
+CHANGE_ROOT defaults to the checkout that holds this file.  The file name
+keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import gzip
 import json
 import os
 import subprocess
@@ -26,11 +28,13 @@ ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
 from gen import serialize, suite_graphs  # noqa: E402
-from graphlets import from_edges, load_graph  # noqa: E402
+from graphlets import Graph, from_edges, load_graph  # noqa: E402
 
 # every subcommand in JSON and TSV, at one and two workers; "{m}" is the
-# graph's edge count, "{half}" half of it and "{edge}" its first edge
+# graph's edge count, "{half}" half of it and "{edge}" its first edge, and a
+# "-" after the subcommand reads the graph file from stdin
 ARGSETS = [
     ["exact"],
     ["exact", "--workers", "2", "--format", "tsv"],
@@ -60,34 +64,55 @@ ARGSETS = [
     ["oracle", "--edge", "{edge}", "--format", "tsv"],
     ["verify"],
     ["verify", "--workers", "2", "--format", "tsv"],
+    ["estimate", "-", "--p", "0.3", "--seed", "1", "--format", "tsv"],
 ]
 
 
+def snap_form(g: Graph) -> bytes:
+    """``g`` as a gzipped SNAP-style edge list: ``#`` header lines, then its
+    edges in a seeded order as tab-separated sparse labels."""
+    rng = np.random.default_rng(0)
+    labels = rng.permutation(g.n) * 97 + 10**6
+    rows = labels[g.edges[rng.permutation(g.m)]].tolist()
+    text = (f"# Undirected graph\n# Nodes: {g.n} Edges: {g.m}\n# FromNodeId\tToNodeId\n"
+            + "".join(f"{a}\t{b}\n" for a, b in rows))
+    return gzip.compress(text.encode(), mtime=0)
+
+
 def write_graphs(folder: Path) -> dict[str, Path]:
-    """The suite graphs and an edgeless graph as canonical files in ``folder``."""
-    graphs = {**suite_graphs(), "edgeless": from_edges([], n=3)}
+    """The suite graphs, as canonical files and as SNAP-style ones (named
+    ``NAME.snap``), and an edgeless graph, in ``folder``."""
     paths = {}
-    for name, g in graphs.items():
+    for name, g in suite_graphs().items():
         paths[name] = folder / f"{name}.txt"
         paths[name].write_text(serialize(g))
+        paths[f"{name}.snap"] = folder / f"{name}.snap.gz"
+        paths[f"{name}.snap"].write_bytes(snap_form(g))
+    paths["edgeless"] = folder / "edgeless.txt"
+    paths["edgeless"].write_text(serialize(from_edges([], n=3)))
     return paths
 
 
 def fill(argset: list[str], path: Path) -> list[str]:
-    """The argument list for one graph file, its placeholders filled in."""
+    """The argument list for one graph file, its placeholders filled in; the
+    file is named unless the argument set reads it from stdin."""
     g = load_graph(str(path))
     ends = g.edges[0].tolist() if g.m else [0, 1]
     labels = ends if g.labels is None else [g.labels[v] for v in ends]
     values = {"{m}": str(g.m), "{half}": str(max(g.m // 2, 1)),
               "{edge}": ",".join(map(str, labels))}
-    return [argset[0], str(path), *(values.get(a, a) for a in argset[1:])]
+    stdin = argset[1:2] == ["-"]
+    return [argset[0], "-" if stdin else str(path),
+            *(values.get(a, a) for a in argset[1 + stdin:])]
 
 
-def run(root: Path, argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, standard output without its ``timing`` and stderr of one CLI run."""
+def run(root: Path, argv: list[str], path: Path) -> tuple[int, str, str]:
+    """Exit code, standard output without its ``timing`` and stderr of one CLI
+    run, with the graph file ``path`` as its stdin."""
     env = {**os.environ, "PYTHONPATH": str(Path(root) / "src")}
-    proc = subprocess.run([sys.executable, "-m", "graphlets.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=600)
+    with open(path, "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-m", "graphlets.cli", *argv], env=env,
+                              stdin=stdin, capture_output=True, text=True, timeout=600)
     out = proc.stdout
     if "tsv" in argv:
         out = "".join(line for line in out.splitlines(True) if not line.startswith("timing."))
@@ -104,7 +129,7 @@ def compare(parent: Path, change: Path, paths: dict[str, Path], argsets=ARGSETS)
     for name, path in paths.items():
         for argset in argsets:
             argv = fill(argset, path)
-            rows.append((name, argv, run(parent, argv), run(change, argv)))
+            rows.append((name, argv, run(parent, argv, path), run(change, argv, path)))
     return rows
 
 
